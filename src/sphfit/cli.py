@@ -1,8 +1,8 @@
 """Command line interface.
 
 Subcommands: gen-points, verify-design, gen-data, fit, simulate.
-Exit codes: 0 success, 2 bad configuration or arguments, 3 missing data
-file, 4 numerical failure.
+Exit codes: 0 success, 1 design not certified (verify-design), 2 bad
+configuration or arguments, 3 missing data file, 4 numerical failure.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernels import wendland_psi
+from .kernels import KernelSpec, zonal_value
 from .points import PointSet, eq_area_centers
 from .solver import FittedModel, predict
 
@@ -54,9 +54,7 @@ def wendland_target_f2(xyz, centers: PointSet | None = None) -> np.ndarray:
     if centers is None:
         centers = default_f2_centers()
     p = np.asarray(xyz, dtype=float)
-    dots = np.clip(p @ centers.xyz.T, -1.0, 1.0)
-    dist = np.sqrt(np.maximum(2.0 - 2.0 * dots, 0.0))
-    return wendland_psi(dist).sum(axis=-1)
+    return zonal_value(KernelSpec.wendland(), p @ centers.xyz.T).sum(axis=-1)
 
 
 @dataclass(frozen=True)

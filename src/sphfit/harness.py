@@ -15,8 +15,7 @@ across levels (common random numbers); the random sketch method uses
 from __future__ import annotations
 
 import configparser
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -186,7 +185,9 @@ def grid_search(data: Dataset, test: tuple[PointSet, np.ndarray],
 
     Ties are broken toward larger lambda, then larger sigma.  Cells whose
     solve raises a numerical error are skipped; if every cell fails a
-    :class:`GridSearchError` carries the collected messages.
+    :class:`GridSearchError` carries the collected messages.  The row
+    reports the selected model as the sweep scored it; ``fit_seconds`` is
+    that model's ``diagnostics.wall_time``.
 
     ``s_star`` labels the row; for design sketching it defaults to the
     method's own degree.
@@ -199,7 +200,7 @@ def grid_search(data: Dataset, test: tuple[PointSet, np.ndarray],
         s_star = method.s_star
 
     target_name = data.target.name
-    best = None       # (rmse, -lam, -sigma_key) minimized lexicographically
+    best = None       # (key, model); key (rmse, -lam, -sigma_key) minimized
     failures = []
     for sigma in (grid.sigmas if grid.sigmas is not None else (None,)):
         kernel = kernel_for(target_name, sigma)
@@ -216,20 +217,16 @@ def grid_search(data: Dataset, test: tuple[PointSet, np.ndarray],
                 continue
             key = (err, -model.lam, -(sigma if sigma is not None else 0.0))
             if best is None or key < best[0]:
-                best = (key, model.lam, sigma)
+                best = (key, model)
     if best is None:
         raise GridSearchError(
             f"all grid cells failed for method={method.variant}: "
             + "; ".join(failures[:5]))
 
-    _, lam, sigma = best
-    kernel = kernel_for(target_name, sigma)
-    t0 = time.perf_counter()
-    model = fit_sketched(kernel, data.inputs, data.labels, centers, lam)
-    fit_seconds = time.perf_counter() - t0
+    (err, _, _), model = best
     return ResultRow(target_name, data.noise.delta, method.variant, s_star,
-                     len(centers), len(centers) / len(data), lam, sigma,
-                     rmse(model, test_points, test_labels), fit_seconds)
+                     len(centers), len(centers) / len(data), model.lam,
+                     model.kernel.sigma, err, model.diagnostics.wall_time)
 
 
 # -- simulation configuration ----------------------------------------------

@@ -17,14 +17,23 @@ import numpy as np
 from .points import PointSet
 
 DEFAULT_DESIGN_TOL = 1e-8
-_CLAMP = -1e-12      # tolerated cancellation error in the double sum
+
+
+def _legendre_series(u, k_max: int):
+    """Yield P_1(u), ..., P_{k_max}(u) by the three-term recurrence
+    ``(k+1) P_{k+1} = (2k+1) u P_k - k P_{k-1}``; stable on [-1, 1].
+    Steps run lazily, so nothing is computed past k_max.
+    """
+    pkm1, pk = 1.0, u
+    for k in range(k_max):
+        if k:
+            pkm1, pk = pk, ((2 * k + 1) * u * pk - k * pkm1) / (k + 1)
+        yield pk
 
 
 def legendre_p(k: int, u) -> np.ndarray | float:
     """Legendre polynomial P_k(u), normalized so P_k(1) = 1.
 
-    Evaluated by the three-term recurrence
-    ``(k+1) P_{k+1} = (2k+1) u P_k - k P_{k-1}``; stable on [-1, 1].
     Accepts scalars or arrays; `u` may exceed [-1, 1] by at most 1e-12
     (clamped).
     """
@@ -36,16 +45,9 @@ def legendre_p(k: int, u) -> np.ndarray | float:
     u_arr = np.clip(u_arr, -1.0, 1.0)
     scalar = u_arr.ndim == 0
     u_arr = np.atleast_1d(u_arr)
-    if k == 0:
-        out = np.ones_like(u_arr)
-    elif k == 1:
-        out = u_arr.copy()
-    else:
-        pkm1 = np.ones_like(u_arr)
-        pk = u_arr.copy()
-        for j in range(1, k):
-            pkm1, pk = pk, ((2 * j + 1) * u_arr * pk - j * pkm1) / (j + 1)
-        out = pk
+    out = np.ones_like(u_arr)
+    for out in _legendre_series(u_arr, k):
+        pass
     return float(out[0]) if scalar else out
 
 
@@ -59,11 +61,7 @@ def _residual_sweep(xyz: np.ndarray, k_max: int, row_block: int = 512) -> np.nda
     sums = np.zeros(k_max)
     for lo in range(0, n, row_block):
         u = np.clip(xyz[lo:lo + row_block] @ xyz.T, -1.0, 1.0)
-        pkm1 = np.ones_like(u)
-        pk = u
-        sums[0] += pk.sum()
-        for k in range(1, k_max):
-            pkm1, pk = pk, ((2 * k + 1) * u * pk - k * pkm1) / (k + 1)
+        for k, pk in enumerate(_legendre_series(u, k_max)):
             sums[k] += pk.sum()
     return sums / n**2
 

@@ -34,11 +34,11 @@ PREDICT_BLOCK_BYTES = 64 << 20
 class SolveDiagnostics:
     """How the linear system was actually solved."""
 
-    method: str                 # "eig-pinv", "cholesky", or "loaded"
+    method: str                 # "eig-pinv" or "cholesky"
     rank_used: int              # retained spectral rank (= m for cholesky)
     eigen_threshold: float      # cutoff below which eigenvalues were dropped
     residual_norm: float        # ||A alpha - b||_2 of the solved system
-    wall_time: float            # seconds spent in the linear solve
+    wall_time: float            # seconds to assemble the kernel matrices and solve
     zero_lambda: bool = False   # lam = 0 was requested (pseudo-inverse territory)
 
 
@@ -49,7 +49,7 @@ class FittedModel:
     coefficients: np.ndarray    # shape (m,)
     lam: float
     training_size: int
-    diagnostics: SolveDiagnostics
+    diagnostics: SolveDiagnostics | None    # None for a model read from a file
 
     def __post_init__(self):
         coef = np.asarray(self.coefficients, dtype=float)
@@ -74,8 +74,8 @@ def _pinv_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int, float]:
     Returns (solution, rank, threshold).
     """
     m = a.shape[0]
-    sym = (a + a.T) / 2.0
-    w, v = np.linalg.eigh(sym)
+    # eigh reads one triangle only; callers pass exactly symmetric matrices.
+    w, v = np.linalg.eigh(a)
     w_max = float(w[-1]) if m else 0.0
     threshold = m * np.finfo(float).eps * max(w_max, 0.0)
     keep = w > threshold
@@ -92,7 +92,8 @@ def fit_sketched_multi(kernel: KernelSpec, data: PointSet, values,
 
     The kernel matrices are built once; each lam then gets its own
     eigendecomposition.  The per-lam results are bitwise identical to
-    separate :func:`fit_sketched` calls.
+    separate :func:`fit_sketched` calls.  Each ``wall_time`` is the shared
+    assembly time plus that lam's own solve.
     """
     y = np.asarray(values, dtype=float)
     if y.shape != (len(data),):
@@ -103,10 +104,12 @@ def fit_sketched_multi(kernel: KernelSpec, data: PointSet, values,
     if any(not (np.isfinite(l) and l >= 0) for l in lams):
         raise ValueError("regularization values must be finite and >= 0")
 
+    t0 = time.perf_counter()
     knm = cross_matrix(kernel, data, centers)
     kmm = gram(kernel, centers)
     gtg = knm.T @ knm
     rhs = knm.T @ y
+    assembly = time.perf_counter() - t0
     n = len(data)
 
     models = []
@@ -114,7 +117,7 @@ def fit_sketched_multi(kernel: KernelSpec, data: PointSet, values,
         t0 = time.perf_counter()
         a = gtg + (lam * n) * kmm
         coef, rank, threshold = _pinv_solve(a, rhs)
-        wall = time.perf_counter() - t0
+        wall = assembly + time.perf_counter() - t0
         diag = SolveDiagnostics(
             "eig-pinv", rank, threshold,
             residual_norm=float(np.linalg.norm(a @ coef - rhs)),
@@ -146,9 +149,9 @@ def fit_full(kernel: KernelSpec, data: PointSet, values, lam: float) -> FittedMo
     if not (np.isfinite(lam) and lam > 0):
         raise ValueError("fit_full needs lam > 0")
     n = len(data)
+    t0 = time.perf_counter()
     k = gram(kernel, data)
     shifted = k + (lam * n) * np.eye(n)
-    t0 = time.perf_counter()
     try:
         coef = scipy.linalg.cho_solve(scipy.linalg.cho_factor(shifted, lower=True), y)
         diag = SolveDiagnostics(
@@ -196,7 +199,7 @@ def save_model(path, model: FittedModel) -> None:
 
 
 def load_model(path) -> FittedModel:
-    """Read a model written by :func:`save_model`."""
+    """Read a model written by :func:`save_model`; it carries no diagnostics."""
     raw = Path(path).read_text(encoding="utf-8").splitlines()
     if not raw or raw[0].strip() != MODEL_MAGIC:
         raise ValueError(f"{path}: not a sphfit model file")
@@ -216,6 +219,5 @@ def load_model(path) -> FittedModel:
     degree = None if header["design_degree"] == "-" else int(header["design_degree"])
     centers = PointSet(table[:, :3], design_degree=degree, label="model-centers")
     kernel = KernelSpec.parse(header["kernel"])
-    diag = SolveDiagnostics("loaded", m, 0.0, 0.0, 0.0)
     return FittedModel(kernel, centers, table[:, 3].copy(), float(header["lambda"]),
-                       int(header["training_size"]), diag)
+                       int(header["training_size"]), None)

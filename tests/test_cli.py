@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sphfit
 from sphfit.cli import main
 from sphfit.data import load_dataset
 from sphfit.designs import design_path
@@ -208,3 +214,27 @@ class TestSimulate:
         rc = main(["simulate", "--sim", "1", "--config", str(ini),
                    "--out-dir", str(tmp_path / "o")])
         assert rc == 3
+
+
+def test_simulate_identical_across_blas_thread_counts(tmp_path):
+    # The acceptance determinism config, run once per OpenBLAS thread count.
+    ini = tmp_path / "repeat.ini"
+    ini.write_text(
+        "[experiment]\ntarget = f2\nt = 9\n"
+        "[noise]\ndeltas = 0.1\nseed = 1234\n"
+        "[sketch]\ns_stars = 5\nn_seeds = 3\n"
+        "[test]\nn_points = 500\n"
+        "[output]\ntiming = zero\n")
+    src = str(Path(sphfit.__file__).resolve().parent.parent)
+    outs = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "sphfit.cli", "simulate", "--sim", "2",
+                        "--config", str(ini), "--out-dir", str(out_dir)],
+                       env=env, check=True, capture_output=True)
+        outs.append(out_dir)
+    for name in ("sim2.csv", "sim2_random_seeds.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

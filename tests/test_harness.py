@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sphfit.data import Dataset, NoiseModel, TargetFunction, make_dataset
+from sphfit.data import Dataset, NoiseModel, TargetFunction, make_dataset, rmse
 from sphfit.designs import load_design
 from sphfit.harness import (SIM1_DELTAS, SIM2_S_STARS, ConfigError,
                             ExperimentConfig, GridSearchError, GridSpec,
@@ -12,6 +12,7 @@ from sphfit.harness import (SIM1_DELTAS, SIM2_S_STARS, ConfigError,
                             write_field_csv, write_results_csv,
                             write_seed_detail_csv)
 from sphfit.points import generate_spiral
+from sphfit.solver import fit_sketched
 
 
 def toy_config(**overrides) -> ExperimentConfig:
@@ -171,6 +172,28 @@ class TestGridSearch:
         # coarse sketch, but far better than predicting zero
         label_rms = float(np.sqrt(np.mean(target(test_pts) ** 2)))
         assert 0 < row.rmse < 0.5 * label_rms
+
+    def test_matches_cell_by_cell_oracle(self, design13):
+        # Independent loop: one fit_sketched + rmse per (lambda, sigma) cell,
+        # minimizing (rmse, -lambda, -sigma) as grid_search documents.
+        target = TargetFunction.by_name("f1")
+        data = make_dataset(design13, target, NoiseModel(0.1, seed=7))
+        test_pts = generate_spiral(300)
+        test_labels = target(test_pts)
+        grid = GridSpec(lambdas=(1e-2, 1e-4, 1e-6, 1e-8), sigmas=(0.2, 0.5, 1.0))
+        centers = design13.take(np.arange(10))
+        best = None
+        for sigma in grid.sigmas:
+            for lam in grid.lambdas:
+                model = fit_sketched(kernel_for("f1", sigma), data.inputs,
+                                     data.labels, centers, lam)
+                key = (rmse(model, test_pts, test_labels), -lam, -sigma)
+                best = key if best is None else min(best, key)
+        row = grid_search(data, (test_pts, test_labels), SketchMethod.first(10),
+                          grid, s_star=13)
+        assert row.rmse == best[0]
+        assert row.lam == -best[1]
+        assert row.sigma == -best[2]
 
     def test_all_cells_failing_raises(self, design13):
         bad = Dataset(design13, np.full(len(design13), np.nan),

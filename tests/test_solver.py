@@ -235,6 +235,7 @@ class TestModelIO:
         assert back.training_size == model.training_size
         assert np.array_equal(back.coefficients, model.coefficients)
         assert np.array_equal(back.centers.xyz, model.centers.xyz)
+        assert back.diagnostics is None
         probe = PointSet(random_unit_points(np.random.default_rng(11), 64))
         assert np.array_equal(back(probe), model(probe))
 

@@ -15,7 +15,8 @@ starts; for non-tabulated degrees the point count may be bumped by 2 if no
 configuration converges.
 
 Solutions are verified independently through the Legendre double sum
-r_k = (1/N^2) sum_{i,j} P_k(x_i . x_j) before anything is written.
+r_k = (1/N^2) sum_{i,j} P_k(x_i . x_j) before anything is written, using
+the library's blockwise sweep (O(512 N) memory) from ``src/``.
 
 Usage:  python3 tools/generate_designs.py [--degrees 1,3,...,57] [--out DIR]
 
@@ -32,7 +33,12 @@ import numpy as np
 from scipy.optimize import least_squares
 from scipy.special import sph_legendre_p_all
 
-DEFAULT_OUT = Path(__file__).resolve().parent.parent / "src" / "sphfit" / "data" / "designs"
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+
+from sphfit.legendre import _residual_sweep as legendre_residuals  # noqa: E402
+
+DEFAULT_OUT = SRC / "sphfit" / "data" / "designs"
 
 RESIDUAL_TARGET = 1e-10
 MAX_SEEDS = 8
@@ -114,18 +120,6 @@ def harmonic_system(params, t, n_total, want_jac):
     if want_jac:
         return np.array(res), np.array(jac)
     return np.array(res)
-
-
-def legendre_residuals(points, t):
-    """Independent check: r_k = (1/N^2) sum_ij P_k(x_i . x_j), k = 1..t."""
-    n = len(points)
-    u = np.clip(points @ points.T, -1.0, 1.0)
-    pkm1, pk = np.ones_like(u), u.copy()
-    out = [pk.sum() / n**2]
-    for k in range(1, t):
-        pkm1, pk = pk, ((2 * k + 1) * u * pk - k * pkm1) / (k + 1)
-        out.append(pk.sum() / n**2)
-    return np.array(out)
 
 
 def params_to_points(params):
