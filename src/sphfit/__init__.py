@@ -22,7 +22,8 @@ from .points import (PointSet, eq_area_centers, generate_spiral,
                      load_point_file, mesh_norm, save_point_file,
                      separation_radius)
 from .solver import (FittedModel, SolveDiagnostics, fit_full, fit_sketched,
-                     fit_sketched_multi, load_model, predict, save_model)
+                     fit_sketched_multi, load_model, predict, predict_sweep,
+                     save_model)
 
 __version__ = "0.1.0"
 
@@ -39,6 +40,6 @@ __all__ = [
     "PointSet", "eq_area_centers", "generate_spiral", "load_point_file",
     "mesh_norm", "save_point_file", "separation_radius",
     "FittedModel", "SolveDiagnostics", "fit_full", "fit_sketched",
-    "fit_sketched_multi", "load_model", "predict", "save_model",
+    "fit_sketched_multi", "load_model", "predict", "predict_sweep", "save_model",
     "__version__",
 ]

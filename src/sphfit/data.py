@@ -144,11 +144,15 @@ def make_dataset(inputs: PointSet, target: TargetFunction,
 
 def rmse(model: FittedModel, test_inputs: PointSet, test_labels) -> float:
     """Root mean squared prediction error on a labeled test set."""
+    return _rms_error(predict(model, test_inputs), test_labels)
+
+
+def _rms_error(prediction: np.ndarray, test_labels) -> float:
+    """Root mean squared error of a prediction against one label per point."""
     labels = np.asarray(test_labels, dtype=float)
-    if labels.shape != (len(test_inputs),):
-        raise ValueError(f"labels must have shape ({len(test_inputs)},), got {labels.shape}")
-    diff = predict(model, test_inputs) - labels
-    return float(np.sqrt(np.mean(diff ** 2)))
+    if labels.shape != prediction.shape:
+        raise ValueError(f"labels must have shape {prediction.shape}, got {labels.shape}")
+    return float(np.sqrt(np.mean((prediction - labels) ** 2)))
 
 
 DATASET_HEADER = "x,y,z,label"

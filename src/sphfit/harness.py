@@ -20,12 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (Dataset, NoiseModel, TargetFunction, make_dataset, rmse,
+from .data import (Dataset, NoiseModel, TargetFunction, _rms_error, make_dataset,
                    sample_truncated_gaussian)
 from .designs import load_design
 from .kernels import KernelSpec
 from .points import PointSet, generate_spiral
-from .solver import fit_sketched, fit_sketched_multi, predict
+from .solver import fit_sketched, fit_sketched_multi, predict, predict_sweep
 
 DESK_SCALE_DEGREE = 57
 FULL_SCALE_DEGREE = 141
@@ -210,8 +210,10 @@ def grid_search(data: Dataset, test: tuple[PointSet, np.ndarray],
         except (np.linalg.LinAlgError, ValueError) as exc:
             failures.append(f"sigma={sigma}: {exc}")
             continue
-        for model in models:
-            err = rmse(model, test_points, test_labels)
+        # One test kernel matrix scores every lambda.  The predictions are
+        # consumed here so none outlives this sigma's iteration.
+        errs = [_rms_error(pred, test_labels) for pred in predict_sweep(models, test_points)]
+        for model, err in zip(models, errs):
             if not np.isfinite(err):
                 failures.append(f"lambda={model.lam} sigma={sigma}: non-finite rmse")
                 continue

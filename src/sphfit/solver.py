@@ -169,14 +169,36 @@ def fit_full(kernel: KernelSpec, data: PointSet, values, lam: float) -> FittedMo
 
 def predict(model: FittedModel, points: PointSet) -> np.ndarray:
     """Evaluate the fitted expansion at ``points``, blockwise."""
+    return predict_sweep([model], points)[0]
+
+
+def predict_sweep(models: list[FittedModel], points: PointSet) -> list[np.ndarray]:
+    """Evaluate several models that share one kernel and one center set.
+
+    Each block of the test kernel matrix is built once and applied to every
+    model's coefficients, so each returned array equals :func:`predict` of
+    that model bit for bit.  The models must share the first one's
+    ``kernel`` (by value) and ``centers`` (the same object, as
+    :func:`fit_sketched_multi` returns them).
+    """
+    if not models:
+        raise ValueError("predict_sweep needs at least one model")
+    kernel, centers = models[0].kernel, models[0].centers
+    if any(m.kernel != kernel or m.centers is not centers for m in models):
+        raise ValueError("predict_sweep models must share one kernel and one center set")
     xyz = points.xyz
-    cx = model.centers.xyz
-    rows_per_block = max(1, PREDICT_BLOCK_BYTES // (8 * max(len(model.centers), 1)))
-    out = np.empty(len(points))
+    cx = centers.xyz
+    rows_per_block = max(1, PREDICT_BLOCK_BYTES // (8 * max(len(centers), 1)))
+    parts = []
     for lo in range(0, len(points), rows_per_block):
         hi = min(lo + rows_per_block, len(points))
-        out[lo:hi] = zonal_value(model.kernel, xyz[lo:hi] @ cx.T) @ model.coefficients
-    return out
+        block = zonal_value(kernel, xyz[lo:hi] @ cx.T)
+        # Outputs are allocated only after the block's temporaries are freed,
+        # and the block is dropped before the next one is built: peak memory
+        # is one block plus the outputs.
+        parts.append([block @ m.coefficients for m in models])
+        del block
+    return [np.concatenate(rows) for rows in zip(*parts)]
 
 
 MODEL_MAGIC = "sphfit-model v1"

@@ -195,6 +195,27 @@ class TestGridSearch:
         assert row.lam == -best[1]
         assert row.sigma == -best[2]
 
+    def test_one_zonal_value_call_per_sigma(self, design13, monkeypatch):
+        # Every lambda of a sigma is scored from one test kernel block.  Matrix
+        # assembly calls kernels.zonal_value directly, so only the test-grid
+        # evaluations in sphfit.solver are counted.
+        import sphfit.solver as solver_mod
+        target = TargetFunction.by_name("f1")
+        data = make_dataset(design13, target, NoiseModel(0.1, seed=7))
+        test_pts = generate_spiral(300)
+        grid = GridSpec(lambdas=(1e-2, 1e-4, 1e-6, 1e-8), sigmas=(0.2, 0.5, 1.0))
+        calls = []
+        real = solver_mod.zonal_value
+
+        def counting(spec, dot):
+            calls.append(np.shape(dot))
+            return real(spec, dot)
+
+        monkeypatch.setattr(solver_mod, "zonal_value", counting)
+        grid_search(data, (test_pts, target(test_pts)), SketchMethod.first(10),
+                    grid, s_star=13)
+        assert calls == [(300, 10)] * len(grid.sigmas)
+
     def test_all_cells_failing_raises(self, design13):
         bad = Dataset(design13, np.full(len(design13), np.nan),
                       TargetFunction.by_name("f2"), NoiseModel(0.0, seed=1))

@@ -3,9 +3,10 @@ import pytest
 
 from sphfit.kernels import KernelSpec, cross_matrix, gram, zonal_value
 from sphfit.points import PointSet
+import sphfit.solver as solver_mod
 from sphfit.solver import (FittedModel, fit_full, fit_sketched,
                            fit_sketched_multi, load_model, predict,
-                           save_model)
+                           predict_sweep, save_model)
 
 from conftest import random_unit_points
 
@@ -132,6 +133,18 @@ class TestSolutionProperties:
             assert objective(model.coefficients + d) >= base - 1e-10
 
 
+def single_model_block_loop(model: FittedModel, points: PointSet) -> np.ndarray:
+    """The one-model-at-a-time block loop that predict_sweep replaced."""
+    xyz = points.xyz
+    cx = model.centers.xyz
+    rows_per_block = max(1, solver_mod.PREDICT_BLOCK_BYTES // (8 * max(len(model.centers), 1)))
+    out = np.empty(len(points))
+    for lo in range(0, len(points), rows_per_block):
+        hi = min(lo + rows_per_block, len(points))
+        out[lo:hi] = zonal_value(model.kernel, xyz[lo:hi] @ cx.T) @ model.coefficients
+    return out
+
+
 class TestPredict:
     def test_double_loop_oracle(self, rng):
         pts = PointSet(random_unit_points(rng, 25))
@@ -148,7 +161,6 @@ class TestPredict:
         assert np.abs(got - expect).max() <= 1e-12
 
     def test_blocking_invisible(self, design17, monkeypatch):
-        import sphfit.solver as solver_mod
         y = smooth_values(design17)
         model = fit_sketched(KernelSpec.wendland(), design17, y, design17, 1e-3)
         probe = PointSet(random_unit_points(np.random.default_rng(3), 500))
@@ -159,6 +171,47 @@ class TestPredict:
         monkeypatch.setattr(solver_mod, "PREDICT_BLOCK_BYTES", 4096)
         small = predict(model, probe)
         assert np.abs(small - whole).max() <= 1e-12 * max(1.0, np.abs(whole).max())
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=["gaussian", "wendland"])
+    @pytest.mark.parametrize("block_rows", [None, 150], ids=["one-block", "ragged-blocks"])
+    def test_sweep_bitwise_matches_single_model_loop(self, design17, kernel, block_rows,
+                                                     monkeypatch):
+        n_probe = 500
+        if block_rows is not None:
+            # 3 full blocks of 150 rows and a ragged last one of 50
+            assert n_probe // block_rows >= 3 and n_probe % block_rows
+            monkeypatch.setattr(solver_mod, "PREDICT_BLOCK_BYTES",
+                                8 * len(design17) * block_rows)
+        models = fit_sketched_multi(kernel, design17, smooth_values(design17),
+                                    design17, [1e-2, 1e-4, 1e-6])
+        probe = PointSet(random_unit_points(np.random.default_rng(5), n_probe))
+        rows = predict_sweep(models, probe)
+        assert len(rows) == len(models)
+        for model, row in zip(models, rows):
+            expect = single_model_block_loop(model, probe)
+            assert np.array_equal(row, expect)
+            assert np.array_equal(predict(model, probe), expect)
+
+    def test_sweep_rejects_empty_model_list(self):
+        with pytest.raises(ValueError, match="at least one model"):
+            predict_sweep([], NORTH)
+
+    def test_sweep_rejects_mixed_kernels(self, design13):
+        y = smooth_values(design13)
+        a = fit_sketched(KernelSpec.gaussian(0.5), design13, y, design13, 1e-3)
+        b = fit_sketched(KernelSpec.gaussian(0.6), design13, y, design13, 1e-3)
+        with pytest.raises(ValueError, match="one kernel"):
+            predict_sweep([a, b], design13)
+
+    def test_sweep_rejects_distinct_center_objects(self, design13):
+        y = smooth_values(design13)
+        idx = np.arange(20)
+        a = fit_sketched(KernelSpec.wendland(), design13, y, design13.take(idx), 1e-3)
+        b = fit_sketched(KernelSpec.wendland(), design13, y, design13.take(idx), 1e-3)
+        # equal points are not enough: the center set must be the same object
+        assert np.array_equal(a.centers.xyz, b.centers.xyz)
+        with pytest.raises(ValueError, match="one center set"):
+            predict_sweep([a, b], design13)
 
 
 class TestMultiFit:
