@@ -25,7 +25,7 @@ from .data import (Dataset, NoiseModel, TargetFunction, _rms_error, make_dataset
 from .designs import load_design
 from .kernels import KernelSpec
 from .points import PointSet, generate_spiral
-from .solver import fit_sketched, fit_sketched_multi, predict, predict_sweep
+from .solver import FittedModel, fit_sketched_sweep, predict, predict_sweep
 
 DESK_SCALE_DEGREE = 57
 FULL_SCALE_DEGREE = 141
@@ -192,43 +192,73 @@ def grid_search(data: Dataset, test: tuple[PointSet, np.ndarray],
     ``s_star`` labels the row; for design sketching it defaults to the
     method's own degree.
     """
+    return grid_search_multi([data], test, method, grid, s_star)[0]
+
+
+def grid_search_multi(datasets: list[Dataset], test: tuple[PointSet, np.ndarray],
+                      method: SketchMethod, grid: GridSpec,
+                      s_star: int | None = None) -> list[ResultRow]:
+    """:func:`grid_search` for several label sets on one training input set.
+
+    The datasets (for example one per noise level) must share the same
+    ``inputs`` object and target.  They are fitted from one
+    :func:`fit_sketched_sweep` per sigma, so each lambda's decomposition is
+    computed once for all of them, and their models are scored from one
+    test kernel matrix.  Each row is the one :func:`grid_search` gives for
+    its dataset alone.
+    """
+    return [row for row, _ in _search(datasets, test, method, grid, s_star)]
+
+
+def _search(datasets: list[Dataset], test: tuple[PointSet, np.ndarray],
+            method: SketchMethod, grid: GridSpec,
+            s_star: int | None) -> list[tuple[ResultRow, FittedModel]]:
+    """The grid search behind :func:`grid_search_multi`: each dataset's row
+    together with the model it selected."""
+    if not datasets:
+        raise ValueError("grid search needs at least one dataset")
+    inputs, target_name = datasets[0].inputs, datasets[0].target.name
+    # The search reads the target only through its name (kernel and row label).
+    if any(d.inputs is not inputs or d.target.name != target_name for d in datasets):
+        raise ValueError("datasets of one grid search must share their inputs and target")
     test_points, test_labels = test
-    centers = select_sketch(method, data.inputs)
+    centers = select_sketch(method, inputs)
     if s_star is None:
         if method.variant != "design":
             raise ValueError("s_star label required for first/random sketching")
         s_star = method.s_star
 
-    target_name = data.target.name
-    best = None       # (key, model); key (rmse, -lam, -sigma_key) minimized
+    best = [None] * len(datasets)   # (key, model); key (rmse, -lam, -sigma_key) minimized
     failures = []
     for sigma in (grid.sigmas if grid.sigmas is not None else (None,)):
         kernel = kernel_for(target_name, sigma)
         try:
-            models = fit_sketched_multi(kernel, data.inputs, data.labels,
+            sweeps = fit_sketched_sweep(kernel, inputs, [d.labels for d in datasets],
                                         centers, grid.lambdas)
         except (np.linalg.LinAlgError, ValueError) as exc:
             failures.append(f"sigma={sigma}: {exc}")
             continue
-        # One test kernel matrix scores every lambda.  The predictions are
-        # consumed here so none outlives this sigma's iteration.
+        # One test kernel matrix scores every lambda of every dataset.  The
+        # predictions are consumed here so none outlives this sigma's iteration.
+        models = [model for sweep in sweeps for model in sweep]
         errs = [_rms_error(pred, test_labels) for pred in predict_sweep(models, test_points)]
-        for model, err in zip(models, errs):
+        for i, (model, err) in enumerate(zip(models, errs)):
             if not np.isfinite(err):
                 failures.append(f"lambda={model.lam} sigma={sigma}: non-finite rmse")
                 continue
+            k = i // len(grid.lambdas)
             key = (err, -model.lam, -(sigma if sigma is not None else 0.0))
-            if best is None or key < best[0]:
-                best = (key, model)
-    if best is None:
+            if best[k] is None or key < best[k][0]:
+                best[k] = (key, model)
+    if any(b is None for b in best):
         raise GridSearchError(
             f"all grid cells failed for method={method.variant}: "
             + "; ".join(failures[:5]))
 
-    (err, _, _), model = best
-    return ResultRow(target_name, data.noise.delta, method.variant, s_star,
-                     len(centers), len(centers) / len(data), model.lam,
-                     model.kernel.sigma, err, model.diagnostics.wall_time)
+    return [(ResultRow(target_name, data.noise.delta, method.variant, s_star,
+                       len(centers), len(centers) / len(data), model.lam,
+                       model.kernel.sigma, err, model.diagnostics.wall_time), model)
+            for data, ((err, _, _), model) in zip(datasets, best)]
 
 
 # -- simulation configuration ----------------------------------------------
@@ -374,6 +404,17 @@ def _dataset(training, target, delta, cfg) -> Dataset:
     return make_dataset(training, target, NoiseModel(delta, cfg.base_seed))
 
 
+def _grid_groups(cfg: ExperimentConfig, training, target,
+                 deltas) -> list[tuple[GridSpec, list[Dataset]]]:
+    """One dataset per noise level, grouped by search grid.  Every dataset
+    shares the ``training`` object, so a group is one grid_search_multi."""
+    groups: dict[GridSpec, list[Dataset]] = {}
+    for delta in deltas:
+        grid = GridSpec.for_target(cfg.target, noisy=delta > 0)
+        groups.setdefault(grid, []).append(_dataset(training, target, delta, cfg))
+    return list(groups.items())
+
+
 def run_simulation1(cfg: ExperimentConfig) -> list[ResultRow]:
     """Design-sketch RMSE as a function of s* for each noise level.
 
@@ -383,12 +424,10 @@ def run_simulation1(cfg: ExperimentConfig) -> list[ResultRow]:
     training, target, test = _training_and_test(cfg)
     _check_s_stars(cfg, cfg.sim1_s_stars())
     rows = []
-    for delta in cfg.sim1_deltas():
-        data = _dataset(training, target, delta, cfg)
-        grid = GridSpec.for_target(cfg.target, noisy=delta > 0)
+    for grid, datasets in _grid_groups(cfg, training, target, cfg.sim1_deltas()):
         for s_star in cfg.sim1_s_stars():
             method = SketchMethod.design(s_star, cfg.design_dir)
-            rows.append(grid_search(data, test, method, grid))
+            rows += grid_search_multi(datasets, test, method, grid)
     return sort_rows(rows)
 
 
@@ -402,27 +441,23 @@ def run_simulation2(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[tuple[
     training, target, test = _training_and_test(cfg)
     _check_s_stars(cfg, cfg.sim2_s_stars())
     main, detail = [], []
-    for delta in cfg.sim2_deltas():
-        data = _dataset(training, target, delta, cfg)
-        grid = GridSpec.for_target(cfg.target, noisy=delta > 0)
+    for grid, datasets in _grid_groups(cfg, training, target, cfg.sim2_deltas()):
         for s_star in cfg.sim2_s_stars():
             design_method = SketchMethod.design(s_star, cfg.design_dir)
-            design_row = grid_search(data, test, design_method, grid)
-            m = design_row.m        # matched sketch size for all three methods
+            design_rows = grid_search_multi(datasets, test, design_method, grid)
+            m = design_rows[0].m    # matched sketch size for all three methods
 
-            first_row = grid_search(
-                data, test, SketchMethod.first(m), grid, s_star=s_star)
+            first_rows = grid_search_multi(
+                datasets, test, SketchMethod.first(m), grid, s_star=s_star)
 
-            seed_rows = []
-            for i in range(cfg.n_seeds):
-                seed = cfg.base_seed + 1 + i
-                method = SketchMethod.random(m, seed)
-                seed_rows.append(
-                    (seed, grid_search(data, test, method, grid, s_star=s_star)))
-            random_row = _summarize_random([r for _, r in seed_rows])
-
-            main += [first_row, random_row, design_row]
-            detail += seed_rows
+            seeds = [cfg.base_seed + 1 + i for i in range(cfg.n_seeds)]
+            seed_rows = [grid_search_multi(datasets, test, SketchMethod.random(m, seed),
+                                           grid, s_star=s_star) for seed in seeds]
+            # seed_rows[i][k] is seed i on dataset k
+            for k, (first_row, design_row) in enumerate(zip(first_rows, design_rows)):
+                per_seed = [rows[k] for rows in seed_rows]
+                main += [first_row, _summarize_random(per_seed), design_row]
+                detail += zip(seeds, per_seed)
     detail.sort(key=lambda sr: (sr[1].target, sr[1].delta, sr[1].s_star, sr[0]))
     return sort_rows(main), detail
 
@@ -456,11 +491,7 @@ def run_simulation3(cfg: ExperimentConfig) -> FieldExport:
     data = _dataset(training, target, cfg.sim3_delta, cfg)
     grid = GridSpec.for_target(cfg.target, noisy=cfg.sim3_delta > 0)
     method = SketchMethod.design(cfg.sim3_s_star, cfg.design_dir)
-    row = grid_search(data, test, method, grid)
-
-    kernel = kernel_for(cfg.target, row.sigma)
-    centers = select_sketch(method, data.inputs)
-    model = fit_sketched(kernel, data.inputs, data.labels, centers, row.lam)
+    _, model = _search([data], test, method, grid, None)[0]
 
     dense = generate_spiral(cfg.sim3_grid_n)
     exact = target(dense)

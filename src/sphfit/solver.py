@@ -67,11 +67,11 @@ class FittedModel:
         return predict(self, points)
 
 
-def _pinv_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """Solve symmetric PSD ``a x = b`` via eigendecomposition pseudo-inverse.
+def _eig_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Kept eigenpairs of a symmetric PSD matrix, for a pseudo-inverse solve.
 
     Eigenvalues at or below m * eps * lambda_max are treated as zero.
-    Returns (solution, rank, threshold).
+    Returns (kept eigenvalues, their eigenvectors as columns, threshold).
     """
     m = a.shape[0]
     # eigh reads one triangle only; callers pass exactly symmetric matrices.
@@ -79,27 +79,39 @@ def _pinv_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int, float]:
     w_max = float(w[-1]) if m else 0.0
     threshold = m * np.finfo(float).eps * max(w_max, 0.0)
     keep = w > threshold
-    rank = int(keep.sum())
-    if rank == 0:
-        return np.zeros(m), 0, threshold
-    x = v[:, keep] @ ((v[:, keep].T @ b) / w[keep])
-    return x, rank, threshold
+    return w[keep], v[:, keep], threshold
 
 
-def fit_sketched_multi(kernel: KernelSpec, data: PointSet, values,
-                       centers: PointSet, lams) -> list[FittedModel]:
-    """Fit one model per regularization value, sharing matrix assembly.
+def _eig_apply(w: np.ndarray, v: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse solve ``v diag(1/w) v^T b``; zeros when nothing is kept."""
+    return v @ ((v.T @ b) / w)
 
-    The kernel matrices are built once; each lam then gets its own
-    eigendecomposition.  The per-lam results are bitwise identical to
-    separate :func:`fit_sketched` calls.  Each ``wall_time`` is the shared
-    assembly time plus that lam's own solve.
-    """
+
+def _check_values(values, n: int) -> np.ndarray:
     y = np.asarray(values, dtype=float)
-    if y.shape != (len(data),):
-        raise ValueError(f"values must have shape ({len(data)},), got {y.shape}")
+    if y.shape != (n,):
+        raise ValueError(f"values must have shape ({n},), got {y.shape}")
     if not np.all(np.isfinite(y)):
         raise ValueError("values must be finite")
+    return y
+
+
+def fit_sketched_sweep(kernel: KernelSpec, data: PointSet, label_sets,
+                       centers: PointSet, lams) -> list[list[FittedModel]]:
+    """Fit every (label set, lam) pair on one input set, sharing all the work
+    that does not depend on the labels.
+
+    The kernel matrices and ``Knm^T Knm`` are built once, and each lam gets
+    one eigendecomposition that every label set reuses.  Returns one list
+    of models per label set, in ``lams`` order; each model is bitwise
+    identical to a separate :func:`fit_sketched` call.  Each ``wall_time``
+    is the whole shared assembly plus that label set's ``Knm^T y``, that
+    lam's decomposition and its own solve: the cost of one single-lam fit.
+    """
+    n = len(data)
+    ys = [_check_values(values, n) for values in label_sets]
+    if not ys:
+        raise ValueError("fit_sketched_sweep needs at least one label set")
     lams = [float(l) for l in lams]
     if any(not (np.isfinite(l) and l >= 0) for l in lams):
         raise ValueError("regularization values must be finite and >= 0")
@@ -108,22 +120,36 @@ def fit_sketched_multi(kernel: KernelSpec, data: PointSet, values,
     knm = cross_matrix(kernel, data, centers)
     kmm = gram(kernel, centers)
     gtg = knm.T @ knm
-    rhs = knm.T @ y
-    assembly = time.perf_counter() - t0
-    n = len(data)
+    shared = time.perf_counter() - t0
+    rhs, assembly = [], []
+    for y in ys:
+        t0 = time.perf_counter()
+        rhs.append(knm.T @ y)
+        assembly.append(shared + time.perf_counter() - t0)
 
-    models = []
+    models: list[list[FittedModel]] = [[] for _ in ys]
     for lam in lams:
         t0 = time.perf_counter()
         a = gtg + (lam * n) * kmm
-        coef, rank, threshold = _pinv_solve(a, rhs)
-        wall = assembly + time.perf_counter() - t0
-        diag = SolveDiagnostics(
-            "eig-pinv", rank, threshold,
-            residual_norm=float(np.linalg.norm(a @ coef - rhs)),
-            wall_time=wall, zero_lambda=(lam == 0.0))
-        models.append(FittedModel(kernel, centers, coef, lam, n, diag))
+        w, v, threshold = _eig_decompose(a)
+        decompose = time.perf_counter() - t0
+        for b, setup, out in zip(rhs, assembly, models):
+            t0 = time.perf_counter()
+            coef = _eig_apply(w, v, b)
+            wall = setup + decompose + time.perf_counter() - t0
+            diag = SolveDiagnostics(
+                "eig-pinv", len(w), threshold,
+                residual_norm=float(np.linalg.norm(a @ coef - b)),
+                wall_time=wall, zero_lambda=(lam == 0.0))
+            out.append(FittedModel(kernel, centers, coef, lam, n, diag))
     return models
+
+
+def fit_sketched_multi(kernel: KernelSpec, data: PointSet, values,
+                       centers: PointSet, lams) -> list[FittedModel]:
+    """Fit one model per regularization value: :func:`fit_sketched_sweep`
+    with a single label set."""
+    return fit_sketched_sweep(kernel, data, [values], centers, lams)[0]
 
 
 def fit_sketched(kernel: KernelSpec, data: PointSet, values,
@@ -140,11 +166,7 @@ def fit_full(kernel: KernelSpec, data: PointSet, values, lam: float) -> FittedMo
     numerically indefinite anyway, fall back to the pseudo-inverse and
     record that in the diagnostics.
     """
-    y = np.asarray(values, dtype=float)
-    if y.shape != (len(data),):
-        raise ValueError(f"values must have shape ({len(data)},), got {y.shape}")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("values must be finite")
+    y = _check_values(values, len(data))
     lam = float(lam)
     if not (np.isfinite(lam) and lam > 0):
         raise ValueError("fit_full needs lam > 0")
@@ -159,9 +181,10 @@ def fit_full(kernel: KernelSpec, data: PointSet, values, lam: float) -> FittedMo
             residual_norm=float(np.linalg.norm(shifted @ coef - y)),
             wall_time=time.perf_counter() - t0)
     except scipy.linalg.LinAlgError:
-        coef, rank, threshold = _pinv_solve(shifted, y)
+        w, v, threshold = _eig_decompose(shifted)
+        coef = _eig_apply(w, v, y)
         diag = SolveDiagnostics(
-            "eig-pinv", rank, threshold,
+            "eig-pinv", len(w), threshold,
             residual_norm=float(np.linalg.norm(shifted @ coef - y)),
             wall_time=time.perf_counter() - t0)
     return FittedModel(kernel, data, coef, lam, n, diag)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from sphfit.data import Dataset, NoiseModel, TargetFunction, make_dataset, rmse
 from sphfit.designs import load_design
 from sphfit.harness import (SIM1_DELTAS, SIM2_S_STARS, ConfigError,
                             ExperimentConfig, GridSearchError, GridSpec,
-                            ResultRow, SketchMethod, grid_search, kernel_for,
+                            ResultRow, SketchMethod, grid_search,
+                            grid_search_multi, kernel_for,
                             lambda_grid, parse_config, read_results_csv,
                             run_simulation1, run_simulation2, run_simulation3,
                             select_sketch, sigma_grid, sort_rows,
@@ -225,6 +228,47 @@ class TestGridSearch:
                         GridSpec(lambdas=(1e-3,)))
 
 
+class TestGridSearchMulti:
+    @pytest.mark.parametrize("target_name, method, grid", [
+        ("f1", SketchMethod.first(20),
+         GridSpec(lambdas=(1e-2, 1e-4, 1e-6, 1e-8), sigmas=(0.2, 0.5, 1.0))),
+        ("f2", SketchMethod.design(9), GridSpec.for_target("f2", noisy=True)),
+    ], ids=["f1-sigma-sweep", "f2"])
+    def test_rows_match_per_dataset_grid_search(self, design13, target_name, method, grid):
+        target = TargetFunction.by_name(target_name)
+        datasets = [make_dataset(design13, target, NoiseModel(delta, seed=7))
+                    for delta in (0.0, 0.01, 0.1)]
+        test_pts = generate_spiral(300)
+        test = (test_pts, target(test_pts))
+        rows = grid_search_multi(datasets, test, method, grid, s_star=9)
+        singles = [grid_search(d, test, method, grid, s_star=9) for d in datasets]
+        assert [r.delta for r in rows] == [0.0, 0.01, 0.1]
+        assert all(r.fit_seconds > 0 for r in rows)
+        # everything but the measured time is identical
+        assert ([replace(r, fit_seconds=0.0) for r in rows]
+                == [replace(r, fit_seconds=0.0) for r in singles])
+
+    def test_rejects_datasets_on_different_input_objects(self, design13):
+        target = TargetFunction.by_name("f2")
+        copy = design13.take(np.arange(len(design13)))     # equal points, new object
+        a = make_dataset(design13, target, NoiseModel(0.0, seed=1))
+        b = make_dataset(copy, target, NoiseModel(0.1, seed=1))
+        test = generate_spiral(50)
+        with pytest.raises(ValueError, match="share their inputs"):
+            grid_search_multi([a, b], (test, np.zeros(50)), SketchMethod.design(9),
+                              GridSpec(lambdas=(1e-3,)))
+
+    def test_rejects_mixed_targets_and_empty_list(self, design13):
+        a = make_dataset(design13, TargetFunction.by_name("f1"), NoiseModel(0.0, seed=1))
+        b = make_dataset(design13, TargetFunction.by_name("f2"), NoiseModel(0.0, seed=1))
+        test = (generate_spiral(50), np.zeros(50))
+        with pytest.raises(ValueError, match="target"):
+            grid_search_multi([a, b], test, SketchMethod.design(9),
+                              GridSpec(lambdas=(1e-3,), sigmas=(0.5,)))
+        with pytest.raises(ValueError, match="at least one dataset"):
+            grid_search_multi([], test, SketchMethod.design(9), GridSpec(lambdas=(1e-3,)))
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = ExperimentConfig()
@@ -376,6 +420,31 @@ class TestSimulations:
             run_simulation1(toy_config(s_stars=(11, 25)))
         with pytest.raises(ConfigError, match="odd and <="):
             run_simulation3(toy_config(sim3_s_star=25))
+
+    def test_sim1_decomposes_once_per_lambda_for_all_noise_levels(self, monkeypatch):
+        # Two noisy deltas share a grid, so each (s*, lambda) system is
+        # decomposed once and each s* builds its test kernel matrix once.
+        # Matrix assembly calls kernels.zonal_value directly, so only the
+        # test-grid evaluations in sphfit.solver are counted.
+        import sphfit.solver as solver_mod
+        eigh_sizes, test_kernels = [], []
+        real_eigh, real_zonal = np.linalg.eigh, solver_mod.zonal_value
+
+        def counting_eigh(a, *args, **kwargs):
+            eigh_sizes.append(a.shape[0])
+            return real_eigh(a, *args, **kwargs)
+
+        def counting_zonal(spec, dot):
+            test_kernels.append(np.shape(dot))
+            return real_zonal(spec, dot)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(solver_mod, "zonal_value", counting_zonal)
+        rows = run_simulation1(toy_config(deltas=(0.1, 0.5), s_stars=(5, 9)))
+        n_lams = len(GridSpec.for_target("f2", noisy=True).lambdas)
+        assert len(rows) == 4
+        assert eigh_sizes == [12] * n_lams + [48] * n_lams
+        assert test_kernels == [(400, 12), (400, 48)]
 
     def test_sim2_deterministic(self):
         cfg = toy_config(deltas=(0.1,), s_stars=(5,), n_seeds=2, n_test=100, t=5)

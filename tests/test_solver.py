@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ from sphfit.kernels import KernelSpec, cross_matrix, gram, zonal_value
 from sphfit.points import PointSet
 import sphfit.solver as solver_mod
 from sphfit.solver import (FittedModel, fit_full, fit_sketched,
-                           fit_sketched_multi, load_model, predict,
-                           predict_sweep, save_model)
+                           fit_sketched_multi, fit_sketched_sweep, load_model,
+                           predict, predict_sweep, save_model)
 
 from conftest import random_unit_points
 
@@ -214,6 +216,22 @@ class TestPredict:
             predict_sweep([a, b], design13)
 
 
+def per_lambda_eigh_fit(kernel, data, y, centers, lams):
+    """Slow reference: assemble and pseudo-invert one normal system per lam
+    with the operations the solver has always used; (coefficients, rank)."""
+    knm = cross_matrix(kernel, data, centers)
+    kmm = gram(kernel, centers)
+    gtg, rhs = knm.T @ knm, knm.T @ y
+    out = []
+    for lam in lams:
+        w, v = np.linalg.eigh(gtg + (lam * len(data)) * kmm)
+        keep = w > len(centers) * np.finfo(float).eps * max(float(w[-1]), 0.0)
+        coef = (v[:, keep] @ ((v[:, keep].T @ rhs) / w[keep]) if keep.any()
+                else np.zeros(len(centers)))
+        out.append((coef, int(keep.sum())))
+    return out
+
+
 class TestMultiFit:
     def test_multi_bitwise_matches_single(self, design13):
         y = smooth_values(design13)
@@ -230,6 +248,62 @@ class TestMultiFit:
         models = fit_sketched_multi(KernelSpec.wendland(), design13, y,
                                     design13, [1.0, 1e-4])
         assert [m.lam for m in models] == [1.0, 1e-4]
+
+    @pytest.mark.parametrize("case", ["zero-lambda", "duplicate-centers", "zero-labels"])
+    def test_sweep_bitwise_matches_separate_fits(self, design13, case):
+        kernel = KernelSpec.gaussian(0.3)
+        centers = design13.take(np.arange(48))
+        lams = [1e-2, 1e-5, 1e-8]
+        noise = np.random.default_rng(17).standard_normal(len(design13))
+        label_sets = [smooth_values(design13), smooth_values(design13) + noise,
+                      np.sin(3.0 * design13.xyz[:, 2])]
+        if case == "zero-lambda":
+            lams = [1e-3, 0.0]
+        elif case == "duplicate-centers":
+            # repeated centers make Kmm and the system matrix rank-deficient
+            centers = design13.take(np.r_[np.arange(20), np.arange(10)])
+        else:
+            label_sets[1] = np.zeros(len(design13))
+        sweeps = fit_sketched_sweep(kernel, design13, label_sets, centers, lams)
+        assert len(sweeps) == len(label_sets)
+        for y, sweep in zip(label_sets, sweeps):
+            oracle = per_lambda_eigh_fit(kernel, design13, y, centers, lams)
+            multi = fit_sketched_multi(kernel, design13, y, centers, lams)
+            assert [m.lam for m in sweep] == lams
+            for model, ref, (coef, rank) in zip(sweep, multi, oracle):
+                assert model.centers is centers
+                assert np.array_equal(model.coefficients, ref.coefficients)
+                assert np.array_equal(model.coefficients, coef)
+                assert model.diagnostics.rank_used == ref.diagnostics.rank_used == rank
+                assert model.diagnostics.residual_norm == ref.diagnostics.residual_norm
+                assert model.diagnostics.zero_lambda == (model.lam == 0.0)
+        if case == "duplicate-centers":
+            assert all(m.diagnostics.rank_used < len(centers) for m in sweeps[0])
+        if case == "zero-labels":
+            assert all(not m.coefficients.any() for m in sweeps[1])
+
+    def test_sweep_charges_whole_assembly_to_every_model(self, design13, monkeypatch):
+        # wall_time is the cost of one single-lam fit: the shared assembly is
+        # not split between the label sets or the lams
+        real = solver_mod.cross_matrix
+
+        def slow_cross_matrix(*args):
+            time.sleep(0.05)
+            return real(*args)
+
+        monkeypatch.setattr(solver_mod, "cross_matrix", slow_cross_matrix)
+        y = smooth_values(design13)
+        sweeps = fit_sketched_sweep(KernelSpec.wendland(), design13, [y, 2.0 * y, -y],
+                                    design13, [1e-2, 1e-4])
+        assert all(m.diagnostics.wall_time >= 0.05 for sweep in sweeps for m in sweep)
+
+    def test_sweep_validates_label_sets(self, design13):
+        y = smooth_values(design13)
+        with pytest.raises(ValueError, match="at least one label set"):
+            fit_sketched_sweep(KernelSpec.wendland(), design13, [], design13, [1e-3])
+        with pytest.raises(ValueError, match="shape"):
+            fit_sketched_sweep(KernelSpec.wendland(), design13, [y, y[:-1]],
+                               design13, [1e-3])
 
 
 class TestValidationAndDiagnostics:
