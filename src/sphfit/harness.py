@@ -42,7 +42,11 @@ class GridSearchError(RuntimeError):
 # -- hyperparameter grids ---------------------------------------------------
 
 def lambda_grid(base: float) -> tuple[float, ...]:
-    """Descending grid {base^-q : base^-q > 1e-10, q = 0, 1, ...}."""
+    """Descending grid {base^-q : base^-q > 1e-10, q = 0, 1, ...}; base must
+    be finite and > 1, or the powers never fall to 1e-10 through positive
+    values."""
+    if not (np.isfinite(base) and base > 1):
+        raise ValueError(f"lambda grid base must be finite and > 1, got {base!r}")
     out = []
     q = 0
     while True:

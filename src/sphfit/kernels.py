@@ -26,10 +26,15 @@ def wendland_psi(u) -> np.ndarray | float:
     u_arr = np.asarray(u, dtype=float)
     if np.any(u_arr < 0.0):
         raise ValueError("profile argument is a distance, must be >= 0")
-    base = np.maximum(1.0 - u_arr, 0.0) ** 8
-    poly = ((32.0 * u_arr + 25.0) * u_arr + 8.0) * u_arr + 1.0
-    out = base * poly
+    out = _wendland_profile(u_arr)
     return float(out) if np.isscalar(u) or u_arr.ndim == 0 else out
+
+
+def _wendland_profile(u: np.ndarray) -> np.ndarray:
+    """:func:`wendland_psi` without the sign check, for distances known to be >= 0."""
+    base = np.maximum(1.0 - u, 0.0) ** 8
+    poly = ((32.0 * u + 25.0) * u + 8.0) * u + 1.0
+    return base * poly
 
 
 @dataclass(frozen=True)
@@ -81,7 +86,7 @@ def zonal_value(spec: KernelSpec, dot) -> np.ndarray:
     d = np.clip(np.asarray(dot, dtype=float), -1.0, 1.0)
     if spec.kind == "gaussian":
         return np.exp(-(1.0 - d) / spec.sigma**2)   # ||a-b||^2 = 2 - 2 a.b
-    return wendland_psi(np.sqrt(np.maximum(2.0 - 2.0 * d, 0.0)))
+    return _wendland_profile(np.sqrt(2.0 - 2.0 * d))      # d <= 1, so 2 - 2d >= 0
 
 
 def eval_kernel(spec: KernelSpec, a, b) -> float:

@@ -11,7 +11,10 @@ Restricting the representer expansion to C gives the m x m normal equations
 
 solved through a symmetric eigendecomposition pseudo-inverse so that rank
 deficiency (tiny lam, clustered centers) degrades gracefully instead of
-blowing up.  ``fit_full`` covers the classical m = N case through the
+blowing up.  A sweep over several lams decomposes the whitened system once
+and solves every well-conditioned lam from it (Nystrom kernel ridge
+regression, Rudi, Camoriano & Rosasco 2015); the other lams keep their own
+pseudo-inverse.  ``fit_full`` covers the classical m = N case through the
 equivalent system (K + lam * N * I) alpha = y.
 """
 
@@ -28,14 +31,19 @@ from .kernels import KernelSpec, cross_matrix, gram, zonal_value
 from .points import PointSet
 
 PREDICT_BLOCK_BYTES = 64 << 20
+# Largest bound on cond_2(Knm^T Knm + lam*N*Kmm) for which a sweep solves lam
+# in the whitened basis.  Far below 1 / (m * eps), so an admitted lam is one
+# whose pseudo-inverse would drop no eigenvalue: both paths compute the same
+# estimator and differ only by rounding, about eps * 1e8 relative.
+WHITENED_COND_LIMIT = 1e8
 
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
     """How the linear system was actually solved."""
 
-    method: str                 # "eig-pinv" or "cholesky"
-    rank_used: int              # retained spectral rank (= m for cholesky)
+    method: str                 # "eig-pinv", "whitened-eig" or "cholesky"
+    rank_used: int              # retained spectral rank (= m for whitened-eig, cholesky)
     eigen_threshold: float      # cutoff below which eigenvalues were dropped
     residual_norm: float        # ||A alpha - b||_2 of the solved system
     wall_time: float            # seconds to assemble the kernel matrices and solve
@@ -87,6 +95,39 @@ def _eig_apply(w: np.ndarray, v: np.ndarray, b: np.ndarray) -> np.ndarray:
     return v @ ((v.T @ b) / w)
 
 
+def _whiten(gtg: np.ndarray, kmm: np.ndarray):
+    """One decomposition that solves ``(gtg + s * kmm) alpha = b`` for every shift s.
+
+    Factors ``kmm = L L^T`` and decomposes ``C = L^-1 gtg L^-T = Q D Q^T``;
+    then ``alpha = P (P^T b) / (D + s)`` with ``P = L^-T Q``.  Returns
+    (D ascending, P, kappa), where ``kappa = |kmm|_1 |L^-1|_1 |L^-1|_inf``
+    bounds cond_2(kmm), or None when the Cholesky factorization or the
+    eigendecomposition fails or kappa alone exceeds the limit (then no
+    shift is admitted).  numpy.linalg only: scipy's separately built BLAS
+    would contend with numpy's for the same cores.
+    """
+    try:
+        l_inv = np.linalg.inv(np.linalg.cholesky(kmm))
+    except np.linalg.LinAlgError:
+        return None
+    kappa = float(np.linalg.norm(kmm, 1) * np.linalg.norm(l_inv, 1)
+                  * np.linalg.norm(l_inv, np.inf))
+    if not kappa <= WHITENED_COND_LIMIT:
+        return None
+    try:
+        d, q = np.linalg.eigh(l_inv @ gtg @ l_inv.T)
+    except np.linalg.LinAlgError:
+        return None
+    return d, l_inv.T @ q, kappa
+
+
+def _admitted(d: np.ndarray, kappa: float, shift: float) -> bool:
+    """Whether ``kappa * (|D_max| + s) / (D_min + s)``, a bound on the condition
+    number of the shifted system, is positive and within the limit."""
+    low = d[0] + shift
+    return bool(low > 0 and kappa * (abs(d[-1]) + shift) <= WHITENED_COND_LIMIT * low)
+
+
 def _check_values(values, n: int) -> np.ndarray:
     y = np.asarray(values, dtype=float)
     if y.shape != (n,):
@@ -101,12 +142,17 @@ def fit_sketched_sweep(kernel: KernelSpec, data: PointSet, label_sets,
     """Fit every (label set, lam) pair on one input set, sharing all the work
     that does not depend on the labels.
 
-    The kernel matrices and ``Knm^T Knm`` are built once, and each lam gets
-    one eigendecomposition that every label set reuses.  Returns one list
-    of models per label set, in ``lams`` order; each model is bitwise
-    identical to a separate :func:`fit_sketched` call.  Each ``wall_time``
-    is the whole shared assembly plus that label set's ``Knm^T y``, that
-    lam's decomposition and its own solve: the cost of one single-lam fit.
+    The kernel matrices and ``Knm^T Knm`` are built once.  With more than
+    one lam, the system is whitened by ``Kmm`` and decomposed once
+    (:func:`_whiten`); each lam whose condition bound is within
+    ``WHITENED_COND_LIMIT`` is solved from that decomposition (method
+    ``"whitened-eig"``).  Every other lam, and a sweep of one lam, gets its
+    own eigendecomposition pseudo-inverse (``"eig-pinv"``), bitwise what a
+    separate :func:`fit_sketched` call gives.  Every label set reuses each
+    decomposition.  Returns one list of models per label set, in ``lams``
+    order.  Each ``wall_time`` is the whole shared assembly plus that label
+    set's ``Knm^T y``, the decomposition its lam used (the shared whitened
+    one in full, with that label set's projection) and its own solve.
     """
     n = len(data)
     ys = [_check_values(values, n) for values in label_sets]
@@ -127,10 +173,32 @@ def fit_sketched_sweep(kernel: KernelSpec, data: PointSet, label_sets,
         rhs.append(knm.T @ y)
         assembly.append(shared + time.perf_counter() - t0)
 
+    t0 = time.perf_counter()
+    whitened = _whiten(gtg, kmm) if len(lams) > 1 else None
+    whitening = time.perf_counter() - t0
+    if whitened is not None:
+        d, p, kappa = whitened
+        projected = []      # (P^T b, its setup time) per label set
+        for b, setup in zip(rhs, assembly):
+            t0 = time.perf_counter()
+            projected.append((p.T @ b, setup + whitening + time.perf_counter() - t0))
+
     models: list[list[FittedModel]] = [[] for _ in ys]
     for lam in lams:
+        shift = lam * n
+        if whitened is not None and _admitted(d, kappa, shift):
+            for b, (c, setup), out in zip(rhs, projected, models):
+                t0 = time.perf_counter()
+                coef = p @ (c / (d + shift))
+                wall = setup + time.perf_counter() - t0
+                diag = SolveDiagnostics(
+                    "whitened-eig", len(d), 0.0,
+                    residual_norm=float(np.linalg.norm(gtg @ coef + shift * (kmm @ coef) - b)),
+                    wall_time=wall, zero_lambda=(lam == 0.0))
+                out.append(FittedModel(kernel, centers, coef, lam, n, diag))
+            continue
         t0 = time.perf_counter()
-        a = gtg + (lam * n) * kmm
+        a = gtg + shift * kmm
         w, v, threshold = _eig_decompose(a)
         decompose = time.perf_counter() - t0
         for b, setup, out in zip(rhs, assembly, models):

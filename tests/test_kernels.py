@@ -106,6 +106,22 @@ class TestZonalValues:
         assert zonal_value(spec, 1.0 + 1e-14) == pytest.approx(1.0)
         assert np.isfinite(zonal_value(spec, -1.0 - 1e-14))
 
+    def test_wendland_bitwise_matches_checked_formula(self, rng):
+        # The formula zonal_value used before it skipped the sign check and
+        # the np.maximum that the clip makes redundant.
+        def checked(dot):
+            u = np.sqrt(np.maximum(2.0 - 2.0 * np.clip(dot, -1.0, 1.0), 0.0))
+            if np.any(u < 0.0):
+                raise ValueError("profile argument is a distance, must be >= 0")
+            return (np.maximum(1.0 - u, 0.0) ** 8
+                    * (((32.0 * u + 25.0) * u + 8.0) * u + 1.0))
+
+        a, b = random_unit_points(rng, 300), random_unit_points(rng, 200)
+        dots = np.concatenate([(a @ b.T).ravel(), rng.uniform(0.4, 1.0, 5000),
+                               [-1.0 - 1e-12, -1.0, -0.0, 0.0, 0.5, 1.0 - 1e-16,
+                                1.0, 1.0 + 1e-12, 2.0]])
+        assert np.array_equal(zonal_value(KernelSpec.wendland(), dots), checked(dots))
+
 
 class TestMatrices:
     def test_elementwise_oracle(self, rng):

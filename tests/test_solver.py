@@ -1,14 +1,20 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sphfit.data import NoiseModel, TargetFunction, make_dataset
+from sphfit.designs import load_design
+from sphfit.harness import GridSpec, SketchMethod, select_sketch
 from sphfit.kernels import KernelSpec, cross_matrix, gram, zonal_value
 from sphfit.points import PointSet
 import sphfit.solver as solver_mod
-from sphfit.solver import (FittedModel, fit_full, fit_sketched,
-                           fit_sketched_multi, fit_sketched_sweep, load_model,
-                           predict, predict_sweep, save_model)
+from sphfit.solver import (WHITENED_COND_LIMIT, FittedModel, fit_full,
+                           fit_sketched, fit_sketched_multi, fit_sketched_sweep,
+                           load_model, predict, predict_sweep, save_model)
 
 from conftest import random_unit_points
 
@@ -232,15 +238,40 @@ def per_lambda_eigh_fit(kernel, data, y, centers, lams):
     return out
 
 
+def assert_matches_oracle(model, coef, rank):
+    """Check one sweep model against per_lambda_eigh_fit's (coef, rank).
+
+    A lam the guard rejects is solved as the oracle solves it, bit for bit.
+    An admitted lam has cond_2(A) <= WHITENED_COND_LIMIT for its system
+    matrix A, so the oracle keeps all m eigenvalues and both paths solve the
+    same nonsingular system: their solutions differ by rounding only, within
+    the first-order bound m * eps * WHITENED_COND_LIMIT relative (about 1e-6
+    at m = 48; the error seen is below 1e-9).
+    """
+    m = len(coef)
+    if model.diagnostics.method == "eig-pinv":
+        assert np.array_equal(model.coefficients, coef)
+        assert model.diagnostics.rank_used == rank
+        return
+    assert model.diagnostics.method == "whitened-eig"
+    assert model.diagnostics.rank_used == rank == m
+    tol = m * np.finfo(float).eps * WHITENED_COND_LIMIT
+    assert np.linalg.norm(model.coefficients - coef) <= tol * np.linalg.norm(coef)
+
+
 class TestMultiFit:
     def test_multi_bitwise_matches_single(self, design13):
+        # A single-lam fit always takes the per-lam pseudo-inverse; the sweep
+        # matches it bit for bit on the lams its guard rejects and within the
+        # guard's tolerance on the ones it solves in the whitened basis.
         y = smooth_values(design13)
         centers = design13.take(np.arange(48))
         lams = [1e-2, 1e-5, 1e-8]
         multi = fit_sketched_multi(KernelSpec.gaussian(0.3), design13, y, centers, lams)
         for lam, model in zip(lams, multi):
             single = fit_sketched(KernelSpec.gaussian(0.3), design13, y, centers, lam)
-            assert np.array_equal(model.coefficients, single.coefficients)
+            assert single.diagnostics.method == "eig-pinv"
+            assert_matches_oracle(model, single.coefficients, single.diagnostics.rank_used)
             assert model.lam == single.lam
 
     def test_order_preserved(self, design13):
@@ -273,11 +304,13 @@ class TestMultiFit:
             for model, ref, (coef, rank) in zip(sweep, multi, oracle):
                 assert model.centers is centers
                 assert np.array_equal(model.coefficients, ref.coefficients)
-                assert np.array_equal(model.coefficients, coef)
-                assert model.diagnostics.rank_used == ref.diagnostics.rank_used == rank
-                assert model.diagnostics.residual_norm == ref.diagnostics.residual_norm
+                assert model.diagnostics == replace(ref.diagnostics,
+                                                    wall_time=model.diagnostics.wall_time)
+                assert_matches_oracle(model, coef, rank)
                 assert model.diagnostics.zero_lambda == (model.lam == 0.0)
         if case == "duplicate-centers":
+            # Kmm is singular: no whitening, every lam is the oracle's bit for bit
+            assert all(m.diagnostics.method == "eig-pinv" for m in sweeps[0])
             assert all(m.diagnostics.rank_used < len(centers) for m in sweeps[0])
         if case == "zero-labels":
             assert all(not m.coefficients.any() for m in sweeps[1])
@@ -297,6 +330,23 @@ class TestMultiFit:
                                     design13, [1e-2, 1e-4])
         assert all(m.diagnostics.wall_time >= 0.05 for sweep in sweeps for m in sweep)
 
+    def test_whitened_models_charged_shared_decomposition(self, design13, monkeypatch):
+        # the one whitened eigendecomposition is counted in full in every
+        # model solved from it
+        real = np.linalg.eigh
+
+        def slow_eigh(*args, **kwargs):
+            time.sleep(0.05)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", slow_eigh)
+        y = smooth_values(design13)
+        sweeps = fit_sketched_sweep(KernelSpec.wendland(), design13, [y, -y],
+                                    design13.take(np.arange(40)), [1e-2, 1e-4])
+        models = [m for sweep in sweeps for m in sweep]
+        assert all(m.diagnostics.method == "whitened-eig" for m in models)
+        assert all(m.diagnostics.wall_time >= 0.05 for m in models)
+
     def test_sweep_validates_label_sets(self, design13):
         y = smooth_values(design13)
         with pytest.raises(ValueError, match="at least one label set"):
@@ -304,6 +354,90 @@ class TestMultiFit:
         with pytest.raises(ValueError, match="shape"):
             fit_sketched_sweep(KernelSpec.wendland(), design13, [y, y[:-1]],
                                design13, [1e-3])
+
+
+class TestWhitenedGuard:
+    def test_clustered_first_sketch_truncated_lams_rejected(self):
+        # sim 2's polar-cluster sketch: at sigma = 1 every lam of the f1 grid
+        # is one the pseudo-inverse truncates, and whitening would change the
+        # estimator there; the other sigmas mix admitted and rejected lams.
+        training = load_design(33)
+        data = make_dataset(training, TargetFunction.by_name("f1"),
+                            NoiseModel(0.1, seed=1234))
+        centers = select_sketch(SketchMethod.first(48), training)
+        grid = GridSpec.for_target("f1", noisy=True)
+        methods, truncated = [], 0
+        for sigma in grid.sigmas:
+            kernel = KernelSpec.gaussian(sigma)
+            sweep = fit_sketched_sweep(kernel, training, [data.labels], centers,
+                                       grid.lambdas)[0]
+            oracle = per_lambda_eigh_fit(kernel, training, data.labels, centers,
+                                         grid.lambdas)
+            for model, (coef, rank) in zip(sweep, oracle):
+                if rank < len(centers):
+                    truncated += 1
+                    assert model.diagnostics.method == "eig-pinv"
+                assert_matches_oracle(model, coef, rank)
+                methods.append(model.diagnostics.method)
+            if sigma == 1.0:
+                assert all(rank < len(centers) for _, rank in oracle)
+        assert truncated >= len(grid.lambdas)
+        assert {"eig-pinv", "whitened-eig"} <= set(methods)
+
+    def test_zero_lambda_rejected_when_centers_outnumber_sites(self, design13):
+        # m = 156 > N = 94: Knm^T Knm is singular, so lam = 0 fails the guard
+        # while lam = 1e-2 of the same sweep passes it
+        centers = load_design(17)
+        y = smooth_values(design13)
+        lams = [1e-2, 0.0]
+        sweep = fit_sketched_multi(KernelSpec.wendland(), design13, y, centers, lams)
+        oracle = per_lambda_eigh_fit(KernelSpec.wendland(), design13, y, centers, lams)
+        assert [m.diagnostics.method for m in sweep] == ["whitened-eig", "eig-pinv"]
+        assert sweep[1].diagnostics.zero_lambda
+        assert oracle[1][1] < len(centers)
+        for model, (coef, rank) in zip(sweep, oracle):
+            assert_matches_oracle(model, coef, rank)
+
+    def test_single_lambda_sweep_is_not_whitened(self, design13):
+        y = smooth_values(design13)
+        centers = design13.take(np.arange(40))
+        kernel = KernelSpec.wendland()
+        pair = fit_sketched_multi(kernel, design13, y, centers, [1e-3, 1e-4])
+        assert pair[0].diagnostics.method == "whitened-eig"
+        (coef, rank), = per_lambda_eigh_fit(kernel, design13, y, centers, [1e-3])
+        for model in (fit_sketched(kernel, design13, y, centers, 1e-3),
+                      fit_sketched_sweep(kernel, design13, [y], centers, [1e-3])[0][0]):
+            assert model.diagnostics.method == "eig-pinv"
+            assert np.array_equal(model.coefficients, coef)
+            assert model.diagnostics.rank_used == rank
+
+    @settings(max_examples=40, deadline=None)
+    @given(subset_seed=st.integers(0, 2**32 - 1), m=st.integers(2, 156),
+           sigma=st.one_of(st.none(), st.floats(0.1, 1.5)),
+           exponents=st.lists(st.one_of(st.none(), st.floats(-10.0, 0.0)),
+                              min_size=2, max_size=4))
+    def test_both_branches_match_oracle(self, design13, design17, subset_seed, m,
+                                        sigma, exponents):
+        # centers: a random subset of the degree-17 design, up to m = 156 > N = 94
+        idx = np.sort(np.random.default_rng(subset_seed).choice(
+            len(design17), size=m, replace=False))
+        centers = design17.take(idx)
+        kernel = KernelSpec.wendland() if sigma is None else KernelSpec.gaussian(sigma)
+        lams = [0.0 if e is None else 10.0 ** e for e in exponents]
+        y = smooth_values(design13)
+        sweep = fit_sketched_multi(kernel, design13, y, centers, lams)
+        oracle = per_lambda_eigh_fit(kernel, design13, y, centers, lams)
+        knm, kmm = cross_matrix(kernel, design13, centers), gram(kernel, centers)
+        for model, (coef, rank) in zip(sweep, oracle):
+            assert_matches_oracle(model, coef, rank)
+            if model.diagnostics.method == "whitened-eig":
+                # the guard bounds the true condition number of the system
+                w = np.linalg.eigvalsh(knm.T @ knm + model.lam * len(design13) * kmm)
+                assert w[0] > 0 and w[-1] <= 1.01 * WHITENED_COND_LIMIT * w[0]
+                resid = knm.T @ (knm @ model.coefficients - y) + (
+                    model.lam * len(design13)) * (kmm @ model.coefficients)
+                assert model.diagnostics.residual_norm == pytest.approx(
+                    float(np.linalg.norm(resid)), abs=1e-9 * np.linalg.norm(knm.T @ y))
 
 
 class TestValidationAndDiagnostics:
