@@ -94,8 +94,8 @@ class NoiseModel:
     bound: float = NOISE_BOUND
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError("delta must be >= 0")
+        if not (np.isfinite(self.delta) and self.delta >= 0):
+            raise ValueError(f"delta must be finite and >= 0, got {self.delta!r}")
         if not self.bound > 0:
             raise ValueError("bound must be > 0")
 

@@ -296,8 +296,11 @@ class ExperimentConfig:
             raise ConfigError("training degree t must be odd and positive")
         if self.n_seeds < 1 or self.n_test < 2:
             raise ConfigError("n_seeds >= 1 and n_test >= 2 required")
-        if self.sim3_delta < 0 or self.sim3_grid_n < 2:
-            raise ConfigError("sim3 delta must be >= 0 and grid_n >= 2")
+        if not all(np.isfinite(d) and d >= 0
+                   for d in (*(self.deltas or ()), self.sim3_delta)):
+            raise ConfigError("noise deltas and sim3 delta must be finite and >= 0")
+        if self.sim3_grid_n < 2:
+            raise ConfigError("sim3 grid_n >= 2 required")
         if self.sim3_s_star < 1 or self.sim3_s_star % 2 == 0:
             raise ConfigError("sim3 s_star must be odd and positive")
 

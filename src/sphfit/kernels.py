@@ -26,15 +26,29 @@ def wendland_psi(u) -> np.ndarray | float:
     u_arr = np.asarray(u, dtype=float)
     if np.any(u_arr < 0.0):
         raise ValueError("profile argument is a distance, must be >= 0")
-    out = _wendland_profile(u_arr)
+    inside = ~(u_arr >= 1.0)                # the support, and NaN stays NaN
+    out = np.zeros(u_arr.shape)
+    out[inside] = _wendland_profile(u_arr[inside])
     return float(out) if np.isscalar(u) or u_arr.ndim == 0 else out
 
 
 def _wendland_profile(u: np.ndarray) -> np.ndarray:
-    """:func:`wendland_psi` without the sign check, for distances known to be >= 0."""
-    base = np.maximum(1.0 - u, 0.0) ** 8
-    poly = ((32.0 * u + 25.0) * u + 8.0) * u + 1.0
-    return base * poly
+    """The profile on its support, for a 1-d array of distances in [0, 1].
+
+    No ``(.)_+`` is needed there.  The power is three squarings and the
+    polynomial Horner's rule, each in place in one of two temporaries.
+    """
+    base = np.subtract(1.0, u)
+    for _ in range(3):
+        np.square(base, out=base)           # (1-u)^2, ^4, ^8
+    poly = np.multiply(u, 32.0)             # ((32u + 25)u + 8)u + 1
+    poly += 25.0
+    poly *= u
+    poly += 8.0
+    poly *= u
+    poly += 1.0
+    base *= poly
+    return base
 
 
 @dataclass(frozen=True)
@@ -51,8 +65,12 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.kind == "gaussian":
-            if self.sigma is None or not self.sigma > 0:
-                raise ValueError("gaussian kernel needs sigma > 0")
+            # sigma**2 divides the exponent: 0 (underflow) or inf (a constant
+            # kernel) gives a degenerate model
+            if self.sigma is None or not (
+                    self.sigma > 0 and 0.0 < self.sigma * self.sigma < np.inf):
+                raise ValueError("gaussian kernel needs a finite sigma with "
+                                 f"0 < sigma**2 < inf, got {self.sigma!r}")
         elif self.kind == "wendland":
             if self.sigma is not None:
                 raise ValueError("wendland kernel takes no width")
@@ -82,11 +100,31 @@ class KernelSpec:
 
 
 def zonal_value(spec: KernelSpec, dot) -> np.ndarray:
-    """Kernel value as a function of the (clamped) dot product."""
-    d = np.clip(np.asarray(dot, dtype=float), -1.0, 1.0)
+    """Kernel value as a function of the dot product, clamped to [-1, 1].
+
+    Makes one output array of the shape of ``dot`` and never writes into
+    ``dot``.  The Gaussian value is ``exp(-(1 - d) / sigma^2)`` with ``d``
+    the clamped dot.  The Wendland value is zero wherever ``dot <= 1/2``
+    (chordal distance >= 1, outside the support), and the profile is
+    evaluated only on the other entries.  A NaN dot gives NaN for both
+    kernels.  A scalar or 0-d ``dot`` gives a numpy scalar.
+    """
+    dot = np.asarray(dot, dtype=float)
     if spec.kind == "gaussian":
-        return np.exp(-(1.0 - d) / spec.sigma**2)   # ||a-b||^2 = 2 - 2 a.b
-    return _wendland_profile(np.sqrt(2.0 - 2.0 * d))      # d <= 1, so 2 - 2d >= 0
+        out = np.clip(dot, -1.0, 1.0, out=np.empty(dot.shape))
+        np.subtract(out, 1.0, out=out)      # d - 1 == -(1 - d), exactly
+        np.divide(out, spec.sigma**2, out=out)   # ||a-b||^2 = 2 - 2 a.b
+        np.exp(out, out=out)
+    else:
+        mask = ~(dot <= 0.5)                # the support, and NaN stays NaN
+        u = dot[mask]                       # a copy: dot is left alone
+        np.minimum(u, 1.0, out=u)
+        u *= -2.0
+        u += 2.0
+        np.sqrt(u, out=u)                   # chordal distance, in [0, 1)
+        out = np.zeros(dot.shape)
+        out[mask] = _wendland_profile(u)
+    return out if out.ndim else out[()]
 
 
 def eval_kernel(spec: KernelSpec, a, b) -> float:

@@ -98,6 +98,15 @@ class TestGenData:
         main(argv + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("delta", ["nan", "inf", "-1"])
+    def test_bad_delta_exits_2_and_writes_nothing(self, tmp_path, capsys, delta):
+        out = tmp_path / "d.csv"
+        rc = main(["gen-data", "--design", str(design_path(9)), "--target", "f2",
+                   "--delta", delta, "--seed", "7", "--out", str(out)])
+        assert rc == 2
+        assert "delta" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_design_file(self, tmp_path):
         rc = main(["gen-data", "--design", str(tmp_path / "no.txt"),
                    "--target", "f2", "--delta", "0", "--seed", "1",
@@ -156,6 +165,19 @@ class TestFit:
                    "--out", str(tmp_path / "m.txt")])
         assert rc == 2
 
+    # inf gave a rank-1 constant-kernel model; 1e-200 squares to 0 and gave
+    # a rank-0 model; 1e200 squares to inf
+    @pytest.mark.parametrize("sigma", ["inf", "nan", "1e-200", "1e200"])
+    def test_degenerate_gaussian_width_exits_2(self, tmp_path, capsys, sigma):
+        data = self._dataset(tmp_path)
+        model_path = tmp_path / "m.txt"
+        rc = main(["fit", "--train", str(design_path(9)), "--labels", str(data),
+                   "--kernel", f"gaussian:{sigma}", "--lambda", "1e-3",
+                   "--out", str(model_path)])
+        assert rc == 2
+        assert "sigma" in capsys.readouterr().err
+        assert not model_path.exists()
+
 
 class TestSimulate:
     def test_sim1(self, toy_ini, tmp_path, capsys):
@@ -206,6 +228,18 @@ class TestSimulate:
         rc = main(["simulate", "--sim", "1", "--config", str(bad),
                    "--out-dir", str(tmp_path / "o")])
         assert rc == 2
+
+    @pytest.mark.parametrize("section, line", [("noise", "deltas = 0.1, nan"),
+                                               ("noise", "deltas = inf"),
+                                               ("sim3", "delta = nan")])
+    def test_non_finite_delta_in_config(self, tmp_path, capsys, section, line):
+        ini = tmp_path / "nan.ini"
+        ini.write_text(f"[experiment]\nt = 9\n[{section}]\n{line}\n")
+        rc = main(["simulate", "--sim", "3", "--config", str(ini),
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_design_dir_without_needed_degree(self, tmp_path):
         ini = tmp_path / "dd.ini"

@@ -161,6 +161,12 @@ class TestNoise:
         with pytest.raises(ValueError):
             NoiseModel(-0.1, seed=0)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_delta(self, delta):
+        # nan gave NaN labels, inf noise clipped to +-bound
+        with pytest.raises(ValueError, match="finite"):
+            NoiseModel(delta, seed=0)
+
 
 class TestDataset:
     def test_make_dataset_bitwise_deterministic(self, design13):

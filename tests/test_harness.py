@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -305,6 +306,13 @@ class TestConfig:
             ExperimentConfig(n_seeds=0)
         with pytest.raises(ConfigError):
             ExperimentConfig(sim3_s_star=4)
+
+    @pytest.mark.parametrize("override", [
+        dict(deltas=(0.1, math.nan)), dict(deltas=(math.inf,)), dict(deltas=(-0.1,)),
+        dict(sim3_delta=math.nan), dict(sim3_delta=math.inf), dict(sim3_delta=-1.0)])
+    def test_rejects_non_finite_or_negative_deltas(self, override):
+        with pytest.raises(ConfigError, match="finite"):
+            ExperimentConfig(**override)
 
     def test_parse_minimal(self, tmp_path):
         f = tmp_path / "min.ini"

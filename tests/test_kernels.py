@@ -50,6 +50,16 @@ class TestKernelSpec:
         with pytest.raises(ValueError):
             KernelSpec.gaussian(-1.0)
 
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan, 1e-200, 1e200])
+    def test_gaussian_rejects_degenerate_width(self, sigma):
+        # sigma**2 would be inf, nan, 0 (underflow) or inf (overflow)
+        with pytest.raises(ValueError, match="sigma"):
+            KernelSpec.gaussian(sigma)
+
+    def test_gaussian_accepts_extreme_but_usable_width(self):
+        for sigma in (1e-150, 1e150):
+            assert KernelSpec.gaussian(sigma).sigma == sigma
+
     def test_wendland_has_no_sigma(self):
         spec = KernelSpec.wendland()
         assert spec.sigma is None
@@ -106,9 +116,10 @@ class TestZonalValues:
         assert zonal_value(spec, 1.0 + 1e-14) == pytest.approx(1.0)
         assert np.isfinite(zonal_value(spec, -1.0 - 1e-14))
 
-    def test_wendland_bitwise_matches_checked_formula(self, rng):
-        # The formula zonal_value used before it skipped the sign check and
-        # the np.maximum that the clip makes redundant.
+    def test_wendland_matches_checked_formula_oracle(self, rng):
+        # The formula zonal_value used before it evaluated the profile only
+        # on its support: a float ** 8 over every entry.  The in-place
+        # squarings round differently, by at most 1.0e-15 relative seen.
         def checked(dot):
             u = np.sqrt(np.maximum(2.0 - 2.0 * np.clip(dot, -1.0, 1.0), 0.0))
             if np.any(u < 0.0):
@@ -118,9 +129,67 @@ class TestZonalValues:
 
         a, b = random_unit_points(rng, 300), random_unit_points(rng, 200)
         dots = np.concatenate([(a @ b.T).ravel(), rng.uniform(0.4, 1.0, 5000),
+                               0.5 + np.geomspace(1e-16, 1e-3, 1000),
                                [-1.0 - 1e-12, -1.0, -0.0, 0.0, 0.5, 1.0 - 1e-16,
-                                1.0, 1.0 + 1e-12, 2.0]])
-        assert np.array_equal(zonal_value(KernelSpec.wendland(), dots), checked(dots))
+                                1.0, 1.0 + 1e-12, 2.0, -2.0]])
+        got, want = zonal_value(KernelSpec.wendland(), dots), checked(dots)
+        support = dots > 0.5
+        np.testing.assert_allclose(got[support], want[support], rtol=2e-15, atol=0)
+        assert np.all(got[~support] == 0.0)
+        assert np.all(got[dots >= 1.0] == 1.0)
+        assert np.all(np.isfinite(got[dots < -1.0]))
+
+    @pytest.mark.parametrize("sigma", [1e-3, 0.1, 0.37, 1.0, 1.5, 40.0])
+    def test_gaussian_bitwise_matches_plain_expression(self, sigma):
+        rng = np.random.default_rng(6)
+        dots = np.concatenate([rng.uniform(-1.1, 1.1, 20000),
+                               [-1.0 - 1e-12, -1.0, -0.0, 0.0, 1.0, 1.0 + 1e-12]])
+        want = np.exp(-(1.0 - np.clip(dots, -1.0, 1.0)) / sigma**2)
+        assert np.array_equal(zonal_value(KernelSpec.gaussian(sigma), dots), want)
+
+    @pytest.mark.parametrize("spec", [KernelSpec.gaussian(0.5), KernelSpec.wendland()],
+                             ids=["gaussian", "wendland"])
+    def test_input_left_unchanged(self, spec):
+        rng = np.random.default_rng(7)
+        dots = np.concatenate([rng.uniform(-1.1, 1.1, 2047),
+                               [np.nan, -1.0 - 1e-12, 1.0 + 1e-12]]).reshape(41, 50)
+        before = dots.copy()
+        out = zonal_value(spec, dots)
+        assert np.array_equal(dots, before, equal_nan=True)
+        assert out.shape == dots.shape and not np.shares_memory(out, dots)
+
+    @pytest.mark.parametrize("spec", [KernelSpec.gaussian(0.5), KernelSpec.wendland()],
+                             ids=["gaussian", "wendland"])
+    @pytest.mark.parametrize("dot", [0.7, np.float64(0.7), np.array(0.7), 0.2])
+    def test_scalar_in_numpy_scalar_out(self, spec, dot):
+        value = zonal_value(spec, dot)
+        assert type(value) is np.float64
+        assert value == zonal_value(spec, np.array([dot]))[0]
+
+    @pytest.mark.parametrize("spec", [KernelSpec.gaussian(0.5), KernelSpec.wendland()],
+                             ids=["gaussian", "wendland"])
+    def test_nan_dot_gives_nan(self, spec):
+        assert np.isnan(zonal_value(spec, np.nan))
+        out = zonal_value(spec, np.array([0.9, np.nan, 0.1]))
+        assert np.isnan(out[1]) and np.isfinite(out[[0, 2]]).all()
+
+    def test_wendland_boundary_dots(self):
+        above = np.nextafter(0.5, 1.0)
+        dots = np.array([0.5, above, 1.0 - 1e-12, 1.0 + 1e-12, -1.0 - 1e-12])
+        got = zonal_value(KernelSpec.wendland(), dots)
+        assert got[0] == 0.0                            # chordal distance 1
+        # u = 1 - 2^-53 there, so psi = 2^-424 * 66 up to rounding
+        assert 0.0 < got[1] == pytest.approx(2.0**-424 * 66.0, rel=1e-12)
+        # psi(u) = 1 - 11 u^2 + O(u^4) with u^2 = 2 - 2 dot
+        assert got[2] == pytest.approx(1.0 - 11.0 * (2.0 - 2.0 * dots[2]), rel=1e-15)
+        assert got[3] == 1.0 and got[4] == 0.0
+
+    def test_gaussian_boundary_dots(self):
+        dots = np.array([0.5, 1.0 - 1e-12, 1.0 + 1e-12, -1.0 - 1e-12])
+        got = zonal_value(KernelSpec.gaussian(1.0), dots)
+        assert got[0] == pytest.approx(math.exp(-0.5), rel=1e-15)
+        assert got[1] == pytest.approx(1.0 - 1e-12, rel=1e-15)
+        assert got[2] == 1.0 and got[3] == math.exp(-2.0)
 
 
 class TestMatrices:
