@@ -134,10 +134,11 @@ def eval_kernel(spec: KernelSpec, a, b) -> float:
 
 
 def _coords(points) -> np.ndarray:
-    """Accept a PointSet or a raw (n, 3) array of unit vectors."""
+    """Accept a PointSet or a raw (n, 3) array of unit vectors; a raw one is
+    made C-ordered, so :func:`gram`'s ``p @ p.T`` is one symmetric ``syrk``."""
     if isinstance(points, PointSet):
         return points.xyz
-    arr = np.asarray(points, dtype=float)
+    arr = np.ascontiguousarray(points, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError(f"expected (n, 3) coordinates, got shape {arr.shape}")
     return arr
@@ -167,11 +168,10 @@ def gram(spec: KernelSpec, point_set,
          budget_bytes: int | None = None) -> np.ndarray:
     """Symmetric kernel matrix of a set against itself.
 
-    The upper triangle is computed and mirrored, so the result satisfies
-    ``M == M.T`` bitwise.
+    numpy computes ``p @ p.T`` of a C-ordered ``p`` as a symmetric rank-k
+    update (``syrk``) and fills the other triangle by copying, so the result
+    satisfies ``M == M.T`` bitwise.
     """
     p = _coords(point_set)
     _check_budget(len(p), len(p), budget_bytes)
-    m = zonal_value(spec, p @ p.T)
-    upper = np.triu(m)
-    return upper + np.triu(m, 1).T
+    return zonal_value(spec, p @ p.T)

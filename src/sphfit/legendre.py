@@ -104,8 +104,8 @@ def verify_design(point_set: PointSet, t_max: int,
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
     raw = _residual_sweep(point_set.xyz, t_max)
     residuals = tuple((k + 1, max(float(r), 0.0)) for k, r in enumerate(raw))
     verified = 0

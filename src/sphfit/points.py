@@ -98,9 +98,12 @@ def load_point_file(path) -> PointSet:
         if len(fields) != 3:
             raise PointFileError(f"{path}:{lineno}: expected 3 fields, got {len(fields)}")
         try:
-            rows.append([float(f) for f in fields])
+            row = [float(f) for f in fields]
         except ValueError as exc:
             raise PointFileError(f"{path}:{lineno}: {exc}") from None
+        if not all(map(math.isfinite, row)):
+            raise PointFileError(f"{path}:{lineno}: non-finite coordinate")
+        rows.append(row)
     if not rows:
         raise PointFileError(f"{path}: no points")
     arr = np.array(rows, dtype=float)

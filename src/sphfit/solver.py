@@ -90,11 +90,6 @@ def _eig_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return w[keep], v[:, keep], threshold
 
 
-def _eig_apply(w: np.ndarray, v: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse solve ``v diag(1/w) v^T b``; zeros when nothing is kept."""
-    return v @ ((v.T @ b) / w)
-
-
 def _whiten(gtg: np.ndarray, kmm: np.ndarray):
     """One decomposition that solves ``(gtg + s * kmm) alpha = b`` for every shift s.
 
@@ -142,17 +137,17 @@ def fit_sketched_sweep(kernel: KernelSpec, data: PointSet, label_sets,
     """Fit every (label set, lam) pair on one input set, sharing all the work
     that does not depend on the labels.
 
-    The kernel matrices and ``Knm^T Knm`` are built once.  With more than
-    one lam, the system is whitened by ``Kmm`` and decomposed once
-    (:func:`_whiten`); each lam whose condition bound is within
-    ``WHITENED_COND_LIMIT`` is solved from that decomposition (method
-    ``"whitened-eig"``).  Every other lam, and a sweep of one lam, gets its
-    own eigendecomposition pseudo-inverse (``"eig-pinv"``), bitwise what a
-    separate :func:`fit_sketched` call gives.  Every label set reuses each
-    decomposition.  Returns one list of models per label set, in ``lams``
-    order.  Each ``wall_time`` is the whole shared assembly plus that label
-    set's ``Knm^T y``, the decomposition its lam used (the shared whitened
-    one in full, with that label set's projection) and its own solve.
+    The kernel matrices, ``Knm^T Knm`` and every ``b = Knm^T y`` are built
+    once.  Each lam is solved as ``alpha = V (c / w)`` from eigenpairs
+    ``(w, V)`` of its system and each label set's coordinates ``c = V^T b``.
+    With more than one lam, the system is whitened by ``Kmm`` and
+    decomposed once (:func:`_whiten`); a lam whose condition bound is within
+    ``WHITENED_COND_LIMIT`` takes ``(D + lam*N, P, P^T b)`` from it (method
+    ``"whitened-eig"``).  Every other lam, and a sweep of one lam, takes the
+    kept eigenpairs of its own system (``"eig-pinv"``), bitwise what a
+    separate :func:`fit_sketched` call gives.  Returns one list of models
+    per label set, in ``lams`` order.  Each ``wall_time`` is the whole
+    assembly, the whole decomposition its lam used and its own solve.
     """
     n = len(data)
     ys = [_check_values(values, n) for values in label_sets]
@@ -166,48 +161,34 @@ def fit_sketched_sweep(kernel: KernelSpec, data: PointSet, label_sets,
     knm = cross_matrix(kernel, data, centers)
     kmm = gram(kernel, centers)
     gtg = knm.T @ knm
-    shared = time.perf_counter() - t0
-    rhs, assembly = [], []
-    for y in ys:
-        t0 = time.perf_counter()
-        rhs.append(knm.T @ y)
-        assembly.append(shared + time.perf_counter() - t0)
+    rhs = [knm.T @ y for y in ys]
+    assembly = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     whitened = _whiten(gtg, kmm) if len(lams) > 1 else None
-    whitening = time.perf_counter() - t0
     if whitened is not None:
         d, p, kappa = whitened
-        projected = []      # (P^T b, its setup time) per label set
-        for b, setup in zip(rhs, assembly):
-            t0 = time.perf_counter()
-            projected.append((p.T @ b, setup + whitening + time.perf_counter() - t0))
+        projected = [p.T @ b for b in rhs]
+    whitening = time.perf_counter() - t0
 
     models: list[list[FittedModel]] = [[] for _ in ys]
     for lam in lams:
         shift = lam * n
         if whitened is not None and _admitted(d, kappa, shift):
-            for b, (c, setup), out in zip(rhs, projected, models):
-                t0 = time.perf_counter()
-                coef = p @ (c / (d + shift))
-                wall = setup + time.perf_counter() - t0
-                diag = SolveDiagnostics(
-                    "whitened-eig", len(d), 0.0,
-                    residual_norm=float(np.linalg.norm(gtg @ coef + shift * (kmm @ coef) - b)),
-                    wall_time=wall, zero_lambda=(lam == 0.0))
-                out.append(FittedModel(kernel, centers, coef, lam, n, diag))
-            continue
-        t0 = time.perf_counter()
-        a = gtg + shift * kmm
-        w, v, threshold = _eig_decompose(a)
-        decompose = time.perf_counter() - t0
-        for b, setup, out in zip(rhs, assembly, models):
+            method, w, v, threshold, coords = "whitened-eig", d + shift, p, 0.0, projected
+            decompose = whitening
+        else:
             t0 = time.perf_counter()
-            coef = _eig_apply(w, v, b)
-            wall = setup + decompose + time.perf_counter() - t0
+            w, v, threshold = _eig_decompose(gtg + shift * kmm)
+            method, coords = "eig-pinv", [v.T @ b for b in rhs]
+            decompose = time.perf_counter() - t0
+        for b, c, out in zip(rhs, coords, models):
+            t0 = time.perf_counter()
+            coef = v @ (c / w)
+            wall = assembly + decompose + time.perf_counter() - t0
             diag = SolveDiagnostics(
-                "eig-pinv", len(w), threshold,
-                residual_norm=float(np.linalg.norm(a @ coef - b)),
+                method, len(w), threshold,
+                residual_norm=float(np.linalg.norm(gtg @ coef + shift * (kmm @ coef) - b)),
                 wall_time=wall, zero_lambda=(lam == 0.0))
             out.append(FittedModel(kernel, centers, coef, lam, n, diag))
     return models
@@ -244,17 +225,14 @@ def fit_full(kernel: KernelSpec, data: PointSet, values, lam: float) -> FittedMo
     shifted = k + (lam * n) * np.eye(n)
     try:
         coef = scipy.linalg.cho_solve(scipy.linalg.cho_factor(shifted, lower=True), y)
-        diag = SolveDiagnostics(
-            "cholesky", n, 0.0,
-            residual_norm=float(np.linalg.norm(shifted @ coef - y)),
-            wall_time=time.perf_counter() - t0)
+        method, rank, threshold = "cholesky", n, 0.0
     except scipy.linalg.LinAlgError:
         w, v, threshold = _eig_decompose(shifted)
-        coef = _eig_apply(w, v, y)
-        diag = SolveDiagnostics(
-            "eig-pinv", len(w), threshold,
-            residual_norm=float(np.linalg.norm(shifted @ coef - y)),
-            wall_time=time.perf_counter() - t0)
+        coef = v @ ((v.T @ y) / w)
+        method, rank = "eig-pinv", len(w)
+    diag = SolveDiagnostics(method, rank, threshold,
+                            residual_norm=float(np.linalg.norm(shifted @ coef - y)),
+                            wall_time=time.perf_counter() - t0)
     return FittedModel(kernel, data, coef, lam, n, diag)
 
 

@@ -14,8 +14,9 @@ def design17():
     return load_design(17)
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
+    # a fresh generator per test: a test's inputs do not depend on what ran before it
     return np.random.default_rng(20240817)
 
 

@@ -79,6 +79,34 @@ class TestVerifyDesign:
                    "--t-max", "3"])
         assert rc == 3
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_tolerance_not_finite_and_positive_exits_2(self, tmp_path, capsys, tol):
+        pts = tmp_path / "s.txt"
+        main(["gen-points", "--kind", "spiral", "--n", "300", "--out", str(pts)])
+        assert main(["verify-design", "--file", str(pts), "--t-max", "5",
+                     "--tol", "1e-8"]) == 1
+        assert main(["verify-design", "--file", str(pts), "--t-max", "5",
+                     "--tol", tol]) == 2
+        assert "tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-design", "--file", "{pts}", "--t-max", "1"],
+    ["gen-data", "--design", "{pts}", "--target", "f2", "--delta", "0",
+     "--seed", "1", "--out", "{out}"],
+    ["fit", "--train", "{pts}", "--labels", "{out}", "--kernel", "wendland",
+     "--lambda", "1e-3", "--out", "{out}"],
+], ids=["verify-design", "gen-data", "fit"])
+def test_non_finite_point_file_exits_3(tmp_path, capsys, argv):
+    # like every other malformed point file, not exit 2 from PointSet
+    pts = tmp_path / "nan.txt"
+    pts.write_text("0 0 1\nnan 0 0\n")
+    out = tmp_path / "out"
+    rc = main([a.format(pts=pts, out=out) for a in argv])
+    assert rc == 3
+    assert "nan.txt:2: non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
 
 class TestGenData:
     def test_writes_dataset(self, tmp_path):

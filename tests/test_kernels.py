@@ -216,11 +216,18 @@ class TestMatrices:
         assert isinstance(v, float)
 
     def test_gram_bitwise_symmetric(self, rng):
-        pts = random_unit_points(rng, 83)
+        # raw coordinates in C order, F order, and as row- and column-strided
+        # views; numpy's product of a column-strided 300 x 3 array with its
+        # transpose is not symmetric, so gram must not multiply it as given
+        pts = random_unit_points(rng, 300)
+        layouts = (pts, np.asfortranarray(pts), np.repeat(pts, 2, axis=0)[::2],
+                   np.repeat(pts, 2, axis=1)[:, ::2])
         for spec in (KernelSpec.gaussian(0.2), KernelSpec.wendland()):
-            g = gram(spec, pts)
-            assert np.array_equal(g, g.T)
-            assert np.allclose(np.diag(g), 1.0, atol=1e-15)
+            for raw in layouts:
+                g = gram(spec, raw)
+                assert np.array_equal(g, g.T)
+                assert np.array_equal(g, gram(spec, pts))
+                assert np.allclose(np.diag(g), 1.0, atol=1e-15)
 
     def test_gram_matches_cross_matrix(self, rng):
         pts = random_unit_points(rng, 31)

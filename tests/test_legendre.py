@@ -134,3 +134,9 @@ class TestVerifyDesign:
     def test_rejects_bad_tmax(self, design13):
         with pytest.raises(ValueError):
             verify_design(design13, t_max=0)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-8])
+    def test_rejects_tolerance_that_is_not_finite_and_positive(self, tol):
+        # a NaN or infinite tolerance would certify any point set
+        with pytest.raises(ValueError, match="tolerance"):
+            verify_design(generate_spiral(300), t_max=5, tol=tol)

@@ -75,6 +75,13 @@ class TestLoadSave:
         with pytest.raises(PointFileError, match="norm"):
             load_point_file(f)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_names_its_line(self, tmp_path, bad):
+        f = tmp_path / "bad.txt"
+        f.write_text(f"0 0 1\n{bad} 0 0\n")
+        with pytest.raises(PointFileError, match="bad.txt:2: non-finite"):
+            load_point_file(f)
+
     def test_renormalizes_small_deviation(self, tmp_path):
         f = tmp_path / "near.txt"
         f.write_text("0 0 1.0000001\n")

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -481,6 +482,20 @@ class TestValidationAndDiagnostics:
                          smooth_values(design13), 1e-2)
         assert model.diagnostics.method == "cholesky"
         assert model.training_size == len(design13)
+
+    def test_full_falls_back_to_pseudo_inverse(self, design13, monkeypatch):
+        def indefinite(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("not positive definite")
+        monkeypatch.setattr(scipy.linalg, "cho_factor", indefinite)
+        kernel, lam, n = KernelSpec.gaussian(0.5), 1e-2, len(design13)
+        y = smooth_values(design13)
+        model = fit_full(kernel, design13, y, lam)
+        d = model.diagnostics
+        assert d.method == "eig-pinv"
+        assert d.rank_used == n
+        ref = np.linalg.solve(gram(kernel, design13) + (lam * n) * np.eye(n), y)
+        assert np.linalg.norm(model.coefficients - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert d.residual_norm <= 1e-12 * np.linalg.norm(y)
 
 
 class TestModelIO:
