@@ -1,8 +1,8 @@
 """Command line interface.
 
 Subcommands: gen-points, verify-design, gen-data, fit, simulate.
-Exit codes: 0 success, 1 design not certified (verify-design), 2 bad
-configuration or arguments, 3 missing data file, 4 numerical failure.
+Exit codes: 0 success, 1 design not certified (verify-design), 2 bad config
+or arguments, 3 missing or malformed data file, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -13,16 +13,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (DATASET_HEADER, NoiseModel, TargetFunction, load_dataset,
+from .data import (DATASET_HEADER, NoiseModel, TargetFunction, _dataset_from_lines,
                    make_dataset, save_dataset)
-from .designs import DesignNotFoundError
 from .harness import (ConfigError, GridSearchError, parse_config,
                       run_simulation1, run_simulation2, run_simulation3,
                       write_field_csv, write_results_csv, write_seed_detail_csv)
 from .kernels import KernelSpec, MatrixSizeError
 from .legendre import DEFAULT_DESIGN_TOL, verify_design
-from .points import (PointFileError, PointSet, eq_area_centers,
-                     generate_spiral, load_point_file, save_point_file)
+from .points import (PointFileError, PointSet, _data_lines, _read_rows,
+                     eq_area_centers, generate_spiral, load_point_file,
+                     save_point_file)
 from .solver import fit_full, fit_sketched, save_model
 
 EXIT_OK = 0
@@ -58,28 +58,27 @@ def _cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def _read_labels(path: Path, n_expected: int) -> np.ndarray:
-    """Labels from a dataset CSV (label column) or a one-number-per-line file."""
-    first = ""
-    for line in path.read_text(encoding="utf-8").splitlines():
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            first = stripped
-            break
-    if first == DATASET_HEADER:
-        _, labels = load_dataset(path)
+def _read_labels(path: Path, train: PointSet) -> np.ndarray:
+    """Labels from a dataset CSV (label column) or a file with one number per
+    line.  Labels pair with training points by row, so a dataset's own
+    points must equal the training points bit for bit."""
+    lines = _data_lines(path)
+    if lines and lines[0][1] == DATASET_HEADER:
+        points, labels = _dataset_from_lines(path, lines)
+        if not np.array_equal(points.xyz, train.xyz):
+            raise PointFileError(f"{path}: its {len(points)} points differ from the "
+                                 f"{len(train)} training points in {train.label}")
     else:
-        labels = np.array([float(line) for line in
-                           path.read_text(encoding="utf-8").split()])
-    if labels.shape != (n_expected,):
+        labels = _read_rows(path, lines, 1)[0][:, 0]
+    if labels.shape != (len(train),):
         raise PointFileError(
-            f"{path}: {labels.shape[0]} labels for {n_expected} training points")
+            f"{path}: {labels.shape[0]} labels for {len(train)} training points")
     return labels
 
 
 def _cmd_fit(args) -> int:
     train = load_point_file(args.train)
-    labels = _read_labels(Path(args.labels), len(train))
+    labels = _read_labels(Path(args.labels), train)
     kernel = KernelSpec.parse(args.kernel)
     if args.centers is None:
         model = fit_full(kernel, train, labels, args.lam)
@@ -170,7 +169,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DesignNotFoundError, PointFileError, FileNotFoundError) as exc:
+    except (PointFileError, FileNotFoundError) as exc:   # DesignNotFoundError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING
     except (GridSearchError, MatrixSizeError, np.linalg.LinAlgError) as exc:

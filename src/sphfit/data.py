@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .kernels import KernelSpec, zonal_value
-from .points import PointSet, eq_area_centers
+from .points import PointSet, _data_lines, _read_rows, _unit_points, eq_area_centers
 from .solver import FittedModel, predict
 
 NOISE_BOUND = 10.0
@@ -177,26 +177,10 @@ def load_dataset(path) -> tuple[PointSet, np.ndarray]:
     The generation-settings comments are informational only; the target
     object itself is not reconstructed.
     """
-    path = Path(path)
-    rows = []
-    header_seen = False
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            if line != DATASET_HEADER:
-                raise ValueError(f"{path}:{lineno}: expected header {DATASET_HEADER!r}")
-            header_seen = True
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"{path}:{lineno}: expected 4 comma-separated fields")
-        try:
-            rows.append([float(v) for v in parts])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    table = np.array(rows)
-    return PointSet(table[:, :3], label=str(path)), table[:, 3].copy()
+    return _dataset_from_lines(path, _data_lines(path))
+
+
+def _dataset_from_lines(path, lines) -> tuple[PointSet, np.ndarray]:
+    """Points and labels of a dataset CSV's lines (from ``_data_lines``)."""
+    table, linenos = _read_rows(path, lines, 4, ",", DATASET_HEADER)
+    return _unit_points(path, table[:, :3], linenos), table[:, 3].copy()

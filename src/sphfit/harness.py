@@ -28,7 +28,6 @@ from .points import PointSet, generate_spiral
 from .solver import FittedModel, fit_sketched_sweep, predict, predict_sweep
 
 DESK_SCALE_DEGREE = 57
-FULL_SCALE_DEGREE = 141
 
 
 class ConfigError(ValueError):
@@ -321,12 +320,35 @@ class ExperimentConfig:
         return tuple(s for s in SIM2_S_STARS if s <= self.t)
 
 
+def _numbers(kind):
+    return lambda text: tuple(kind(v) for v in text.split(",") if v.strip())
+
+
+def _real_timing(text: str) -> bool:
+    if text.strip().lower() not in ("real", "zero"):
+        raise ConfigError("must be 'real' or 'zero'")
+    return text.strip().lower() == "real"
+
+
+# section -> key -> (ExperimentConfig field, parser of the value)
+CONFIG_KEYS = {
+    "experiment": {"target": ("target", str.strip), "t": ("t", int)},
+    "noise": {"deltas": ("deltas", _numbers(float)), "seed": ("base_seed", int)},
+    "sketch": {"s_stars": ("s_stars", _numbers(int)), "n_seeds": ("n_seeds", int),
+               "design_dir": ("design_dir", str.strip)},
+    "test": {"n_points": ("n_test", int)},
+    "output": {"timing": ("real_timing", _real_timing)},
+    "sim3": {"delta": ("sim3_delta", float), "s_star": ("sim3_s_star", int),
+             "grid_n": ("sim3_grid_n", int)},
+}
+
+
 def parse_config(path) -> ExperimentConfig:
     """Read an INI-style config file into an :class:`ExperimentConfig`.
 
-    Sections/keys (all optional)::
+    Sections/keys (all optional; any other is a :class:`ConfigError`)::
 
-        [experiment]  target = f1|f2    t = 57    full_scale = false
+        [experiment]  target = f1|f2    t = 57
         [noise]       deltas = 0, 0.001, 0.1, 0.5      seed = 1234
         [sketch]      s_stars = 9, 25, 41, 57          n_seeds = 10
                       design_dir = /path/to/designs
@@ -343,50 +365,18 @@ def parse_config(path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
-    known = {"experiment", "noise", "sketch", "test", "output", "sim3"}
-    unknown = set(parser.sections()) - known
-    if unknown:
-        raise ConfigError(f"{path}: unknown section(s) {sorted(unknown)}")
-
-    def get(section, key, default=None):
-        return parser.get(section, key, fallback=default)
-
-    try:
-        kwargs = {}
-        if get("experiment", "target") is not None:
-            kwargs["target"] = get("experiment", "target").strip()
-        t = int(get("experiment", "t", DESK_SCALE_DEGREE))
-        if parser.getboolean("experiment", "full_scale", fallback=False):
-            t = FULL_SCALE_DEGREE
-        kwargs["t"] = t
-        if get("noise", "deltas") is not None:
-            kwargs["deltas"] = tuple(
-                float(v) for v in get("noise", "deltas").split(",") if v.strip())
-        if get("noise", "seed") is not None:
-            kwargs["base_seed"] = int(get("noise", "seed"))
-        if get("sketch", "s_stars") is not None:
-            kwargs["s_stars"] = tuple(
-                int(v) for v in get("sketch", "s_stars").split(",") if v.strip())
-        if get("sketch", "n_seeds") is not None:
-            kwargs["n_seeds"] = int(get("sketch", "n_seeds"))
-        if get("sketch", "design_dir") is not None:
-            kwargs["design_dir"] = get("sketch", "design_dir").strip()
-        if get("test", "n_points") is not None:
-            kwargs["n_test"] = int(get("test", "n_points"))
-        timing = get("output", "timing", "real").strip().lower()
-        if timing not in ("real", "zero"):
-            raise ConfigError(f"{path}: output.timing must be 'real' or 'zero'")
-        kwargs["real_timing"] = timing == "real"
-        if get("sim3", "delta") is not None:
-            kwargs["sim3_delta"] = float(get("sim3", "delta"))
-        if get("sim3", "s_star") is not None:
-            kwargs["sim3_s_star"] = int(get("sim3", "s_star"))
-        if get("sim3", "grid_n") is not None:
-            kwargs["sim3_grid_n"] = int(get("sim3", "grid_n"))
-    except (ValueError, ConfigError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{path}: {exc}") from None
+    kwargs = {}
+    for section in parser.sections():
+        if section not in CONFIG_KEYS:
+            raise ConfigError(f"{path}: unknown section [{section}]")
+        for key, text in parser[section].items():
+            if key not in CONFIG_KEYS[section]:
+                raise ConfigError(f"{path}: unknown key {section}.{key}")
+            field, parse = CONFIG_KEYS[section][key]
+            try:
+                kwargs[field] = parse(text)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: {section}.{key}: {exc}") from None
     return ExperimentConfig(**kwargs)
 
 

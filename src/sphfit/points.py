@@ -19,7 +19,8 @@ LOAD_NORM_TOL = 1e-6      # acceptable norm deviation in point files
 
 
 class PointFileError(ValueError):
-    """Raised for malformed or out-of-tolerance point files."""
+    """Raised for a missing, malformed or out-of-tolerance sphfit data file:
+    point files, dataset CSVs, label lists and model files."""
 
 
 def _as_unit_rows(arr: np.ndarray, where: str) -> np.ndarray:
@@ -79,44 +80,69 @@ def normalized(arr: np.ndarray) -> np.ndarray:
     return arr / np.linalg.norm(arr, axis=-1, keepdims=True)
 
 
-def load_point_file(path) -> PointSet:
-    """Read a point set from a whitespace-separated ``x y z`` text file.
+def _data_lines(path) -> list[tuple[int, str]]:
+    """Numbered, stripped lines of a data file, without blank and ``#`` lines."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise PointFileError(f"{path}: no such file") from None
+    except UnicodeDecodeError as exc:
+        raise PointFileError(f"{path}: not a text file ({exc})") from None
+    lines = ((i, line.strip()) for i, line in enumerate(text.splitlines(), start=1))
+    return [(i, s) for i, s in lines if s and not s.startswith("#")]
 
-    Lines starting with ``#`` and blank lines are skipped.  Points whose
-    norm deviates from 1 by more than 1e-6 are rejected; points already
-    unit to within 1e-12 are kept bit for bit, the rest are renormalized.
+
+def _read_rows(path, lines, n_fields: int, sep: str | None = None,
+               header: str | None = None) -> tuple[np.ndarray, list[int]]:
+    """The (n, n_fields) rows of `lines` (from :func:`_data_lines`), after a
+    first line equal to `header` if one is given, and each row's line number.
+
+    A row splits on `sep` (whitespace when None) into exactly `n_fields`
+    finite floats; any fault raises :class:`PointFileError` naming file:line.
     """
-    path = Path(path)
-    if not path.exists():
-        raise PointFileError(f"{path}: no such file")
+    if header is not None:
+        if not lines or lines[0][1] != header:
+            raise PointFileError(f"{path}:{lines[0][0] if lines else 1}: "
+                                 f"expected header {header!r}")
+        lines = lines[1:]
     rows = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        fields = stripped.split()
-        if len(fields) != 3:
-            raise PointFileError(f"{path}:{lineno}: expected 3 fields, got {len(fields)}")
+    for lineno, text in lines:
+        fields = text.split(sep)
+        if len(fields) != n_fields:
+            raise PointFileError(f"{path}:{lineno}: expected {n_fields} fields, got {len(fields)}")
         try:
-            row = [float(f) for f in fields]
+            rows.append(list(map(float, fields)))
         except ValueError as exc:
             raise PointFileError(f"{path}:{lineno}: {exc}") from None
-        if not all(map(math.isfinite, row)):
-            raise PointFileError(f"{path}:{lineno}: non-finite coordinate")
-        rows.append(row)
-    if not rows:
+    table = np.array(rows, dtype=float).reshape(len(rows), n_fields)
+    bad = ~np.isfinite(table).all(axis=1)
+    if bad.any():
+        raise PointFileError(f"{path}:{lines[int(np.argmax(bad))][0]}: non-finite value")
+    return table, [i for i, _ in lines]
+
+
+def _unit_points(path, xyz: np.ndarray, linenos: list[int],
+                 design_degree: int | None = None) -> PointSet:
+    """Points from coordinates read from a data file: rejected beyond 1e-6
+    from unit norm, kept bit for bit within 1e-12, renormalized otherwise."""
+    if not len(xyz):
         raise PointFileError(f"{path}: no points")
-    arr = np.array(rows, dtype=float)
-    norms = np.linalg.norm(arr, axis=1)
+    xyz = np.array(xyz, dtype=float)
+    norms = np.linalg.norm(xyz, axis=1)
     bad = np.abs(norms - 1.0) > LOAD_NORM_TOL
     if np.any(bad):
         i = int(np.argmax(bad))
-        raise PointFileError(
-            f"{path}: point {i + 1} has norm {norms[i]:.9g}, beyond tolerance {LOAD_NORM_TOL}")
+        raise PointFileError(f"{path}:{linenos[i]}: point {i + 1} has norm {norms[i]:.9g}, "
+                             f"beyond tolerance {LOAD_NORM_TOL}")
     off = np.abs(norms - 1.0) > UNIT_TOL
-    if np.any(off):
-        arr[off] /= norms[off, None]
-    return PointSet(arr, label=str(path))
+    xyz[off] /= norms[off, None]
+    return PointSet(xyz, design_degree=design_degree, label=str(path))
+
+
+def load_point_file(path) -> PointSet:
+    """Read a point set from a whitespace-separated ``x y z`` text file;
+    ``#`` and blank lines are skipped, and points follow :func:`_unit_points`."""
+    return _unit_points(path, *_read_rows(path, _data_lines(path), 3))
 
 
 def save_point_file(path, point_set: PointSet, header: str | None = None) -> None:

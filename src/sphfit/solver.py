@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .kernels import KernelSpec, cross_matrix, gram, zonal_value
-from .points import PointSet
+from .points import PointFileError, PointSet, _data_lines, _read_rows, _unit_points
 
 PREDICT_BLOCK_BYTES = 64 << 20
 # Largest bound on cond_2(Knm^T Knm + lam*N*Kmm) for which a sweep solves lam
@@ -221,8 +221,9 @@ def fit_full(kernel: KernelSpec, data: PointSet, values, lam: float) -> FittedMo
         raise ValueError("fit_full needs lam > 0")
     n = len(data)
     t0 = time.perf_counter()
-    k = gram(kernel, data)
-    shifted = k + (lam * n) * np.eye(n)
+    # In place: adding +0.0 off the diagonal would change no entry (none is -0.0).
+    shifted = gram(kernel, data)
+    shifted[np.diag_indices(n)] += lam * n
     try:
         coef = scipy.linalg.cho_solve(scipy.linalg.cho_factor(shifted, lower=True), y)
         method, rank, threshold = "cholesky", n, 0.0
@@ -291,24 +292,22 @@ def save_model(path, model: FittedModel) -> None:
 
 def load_model(path) -> FittedModel:
     """Read a model written by :func:`save_model`; it carries no diagnostics."""
-    raw = Path(path).read_text(encoding="utf-8").splitlines()
-    if not raw or raw[0].strip() != MODEL_MAGIC:
-        raise ValueError(f"{path}: not a sphfit model file")
-    keys = ("kernel", "lambda", "training_size", "design_degree", "n_centers")
+    lines = _data_lines(path)
+    if not lines or lines[0][1] != MODEL_MAGIC:
+        raise PointFileError(f"{path}:{lines[0][0] if lines else 1}: not a sphfit model file")
     header: dict[str, str] = {}
-    for key, line in zip(keys, raw[1:1 + len(keys)]):
-        parts = line.split(None, 1)
+    for i, key in enumerate(("kernel", "lambda", "training_size", "design_degree",
+                             "n_centers"), start=1):
+        lineno, text = lines[i] if i < len(lines) else (lines[-1][0] + 1, "")
+        parts = text.split(None, 1)
         if len(parts) != 2 or parts[0] != key:
-            raise ValueError(f"{path}: expected header line {key!r}, got {line!r}")
-        header[key] = parts[1].strip()
+            raise PointFileError(f"{path}:{lineno}: expected header line {key!r}, got {text!r}")
+        header[key] = parts[1]
     m = int(header["n_centers"])
-    body = raw[1 + len(keys):]
-    rows = [line.split() for line in body if line.strip()]
-    if len(rows) != m or any(len(r) != 4 for r in rows):
-        raise ValueError(f"{path}: expected {m} 'x y z alpha' rows")
-    table = np.array(rows, dtype=float)
+    table, linenos = _read_rows(path, lines[6:], 4)
+    if len(table) != m:
+        raise PointFileError(f"{path}: expected {m} 'x y z alpha' rows, got {len(table)}")
     degree = None if header["design_degree"] == "-" else int(header["design_degree"])
-    centers = PointSet(table[:, :3], design_degree=degree, label="model-centers")
-    kernel = KernelSpec.parse(header["kernel"])
-    return FittedModel(kernel, centers, table[:, 3].copy(), float(header["lambda"]),
-                       int(header["training_size"]), None)
+    centers = _unit_points(path, table[:, :3], linenos, degree)
+    return FittedModel(KernelSpec.parse(header["kernel"]), centers, table[:, 3].copy(),
+                       float(header["lambda"]), int(header["training_size"]), None)

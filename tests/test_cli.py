@@ -11,7 +11,7 @@ from sphfit.cli import main
 from sphfit.data import load_dataset
 from sphfit.designs import design_path
 from sphfit.harness import read_results_csv
-from sphfit.points import load_point_file
+from sphfit.points import PointSet, load_point_file, save_point_file
 from sphfit.solver import load_model
 
 TOY_INI = """\
@@ -178,6 +178,20 @@ class TestFit:
                    "--out", str(model_path)])
         assert rc == 0
 
+    def test_dataset_on_other_points_exits_3(self, tmp_path, capsys):
+        # same size, same points in another order: labels would pair with
+        # the wrong training points
+        data = self._dataset(tmp_path)
+        train = tmp_path / "reversed.txt"
+        save_point_file(train, PointSet(load_point_file(design_path(9)).xyz[::-1]))
+        rc = main(["fit", "--train", str(train), "--labels", str(data),
+                   "--kernel", "wendland", "--lambda", "1e-2",
+                   "--out", str(tmp_path / "m.txt")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "d.csv" in err and "reversed.txt" in err
+        assert not (tmp_path / "m.txt").exists()
+
     def test_label_count_mismatch(self, tmp_path):
         labels = tmp_path / "labels.txt"
         labels.write_text("0.5\n0.5\n")
@@ -267,6 +281,15 @@ class TestSimulate:
                    "--out-dir", str(tmp_path / "o")])
         assert rc == 2
         assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        ini = tmp_path / "typo.ini"
+        ini.write_text("[experiment]\nt = 9\n[sketch]\ns_star = 5\n")
+        rc = main(["simulate", "--sim", "1", "--config", str(ini),
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert "sketch.s_star" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_design_dir_without_needed_degree(self, tmp_path):

@@ -338,9 +338,19 @@ class TestConfig:
         assert cfg.sim3_grid_n == 1000
 
     def test_parse_full_scale_flag(self, tmp_path):
+        # removed: it only repeated t = 141 and overrode an explicit t
         f = tmp_path / "fs.ini"
-        f.write_text("[experiment]\nfull_scale = true\n")
-        assert parse_config(f).t == 141
+        f.write_text("[experiment]\nt = 13\nfull_scale = true\n")
+        with pytest.raises(ConfigError, match="experiment.full_scale"):
+            parse_config(f)
+
+    @pytest.mark.parametrize("text, key", [("[sketch]\ns_star = 5\n", "sketch.s_star"),
+                                           ("[noise]\ndelta = 0.1\n", "noise.delta")])
+    def test_unknown_key_rejected(self, tmp_path, text, key):
+        f = tmp_path / "typo.ini"
+        f.write_text(text)
+        with pytest.raises(ConfigError, match=key):
+            parse_config(f)
 
     def test_parse_errors(self, tmp_path):
         missing = tmp_path / "absent.ini"

@@ -483,6 +483,22 @@ class TestValidationAndDiagnostics:
         assert model.diagnostics.method == "cholesky"
         assert model.training_size == len(design13)
 
+    @pytest.mark.parametrize("kernel", [KernelSpec.wendland(), KernelSpec.gaussian(0.5)],
+                             ids=["wendland", "gaussian"])
+    def test_full_shifts_diagonal_in_place_bitwise(self, design13, kernel, monkeypatch):
+        # no kernel entry is -0.0, so the in-place diagonal shift equals the
+        # former K + lam*N*I bit for bit
+        factored = []
+        cho_factor = scipy.linalg.cho_factor
+        monkeypatch.setattr(scipy.linalg, "cho_factor",
+                            lambda a, **kw: factored.append(a.copy()) or cho_factor(a, **kw))
+        lam, n, y = 1e-3, len(design13), smooth_values(design13)
+        model = fit_full(kernel, design13, y, lam)
+        old = gram(kernel, design13) + (lam * n) * np.eye(n)
+        assert np.array_equal(factored[0], old)
+        ref = scipy.linalg.cho_solve(cho_factor(old, lower=True), y)
+        assert np.array_equal(model.coefficients, ref)
+
     def test_full_falls_back_to_pseudo_inverse(self, design13, monkeypatch):
         def indefinite(*args, **kwargs):
             raise scipy.linalg.LinAlgError("not positive definite")
