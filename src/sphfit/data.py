@@ -16,12 +16,11 @@ platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .kernels import KernelSpec, zonal_value
-from .points import PointSet, _data_lines, _read_rows, _unit_points, eq_area_centers
+from .points import PointSet, _data_lines, _read_rows, _unit_points, _write_rows, eq_area_centers
 from .solver import FittedModel, predict
 
 NOISE_BOUND = 10.0
@@ -87,17 +86,15 @@ class TargetFunction:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Zero-mean Gaussian with standard deviation delta, clipped to a bound."""
+    """Zero-mean Gaussian with standard deviation delta, clipped to
+    +-``NOISE_BOUND``."""
 
     delta: float
     seed: int
-    bound: float = NOISE_BOUND
 
     def __post_init__(self):
         if not (np.isfinite(self.delta) and self.delta >= 0):
             raise ValueError(f"delta must be finite and >= 0, got {self.delta!r}")
-        if not self.bound > 0:
-            raise ValueError("bound must be > 0")
 
 
 def sample_truncated_gaussian(noise: NoiseModel, count: int) -> np.ndarray:
@@ -111,7 +108,7 @@ def sample_truncated_gaussian(noise: NoiseModel, count: int) -> np.ndarray:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(noise.seed)
     eps = noise.delta * rng.standard_normal(count)
-    return np.clip(eps, -noise.bound, noise.bound)
+    return np.clip(eps, -NOISE_BOUND, NOISE_BOUND)
 
 
 @dataclass(frozen=True)
@@ -160,15 +157,10 @@ DATASET_HEADER = "x,y,z,label"
 
 def save_dataset(path, dataset: Dataset) -> None:
     """CSV with an ``x,y,z,label`` header; generation settings in comments."""
-    lines = [
-        f"# target {dataset.target.name}",
-        f"# delta {dataset.noise.delta:.17g}",
-        f"# seed {dataset.noise.seed}",
-        DATASET_HEADER,
-    ]
-    for p, lab in zip(dataset.inputs.xyz, dataset.labels):
-        lines.append(f"{p[0]:.17g},{p[1]:.17g},{p[2]:.17g},{lab:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    head = [f"# target {dataset.target.name}", f"# delta {dataset.noise.delta:.17g}",
+            f"# seed {dataset.noise.seed}", DATASET_HEADER]
+    table = np.column_stack([dataset.inputs.xyz, dataset.labels])
+    _write_rows(path, head, table.tolist(), ",")
 
 
 def load_dataset(path) -> tuple[PointSet, np.ndarray]:

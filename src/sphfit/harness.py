@@ -24,7 +24,8 @@ from .data import (Dataset, NoiseModel, TargetFunction, _rms_error, make_dataset
                    sample_truncated_gaussian)
 from .designs import load_design
 from .kernels import KernelSpec
-from .points import PointSet, generate_spiral
+from .points import (PointFileError, PointSet, _data_lines, _number, _split_rows,
+                     _write_rows, generate_spiral)
 from .solver import FittedModel, fit_sketched_sweep, predict, predict_sweep
 
 DESK_SCALE_DEGREE = 57
@@ -509,23 +510,15 @@ def sort_rows(rows: list[ResultRow]) -> list[ResultRow]:
                                        r.method, r.rmse))
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else f"{value:.17g}"
-
-
 def write_results_csv(path, rows: list[ResultRow], real_timing: bool = True) -> None:
     """Write result rows in the stable 10-column schema.
 
     With ``real_timing`` off, fit_seconds is written as 0 so that repeated
     runs of the same config are bitwise identical.
     """
-    lines = [RESULTS_HEADER]
-    for r in rows:
-        secs = r.fit_seconds if real_timing else 0.0
-        lines.append(",".join([
-            r.target, _fmt(r.delta), r.method, str(r.s_star), str(r.m),
-            _fmt(r.sr), _fmt(r.lam), _fmt(r.sigma), _fmt(r.rmse), _fmt(secs)]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_rows(path, [RESULTS_HEADER], ([
+        r.target, r.delta, r.method, r.s_star, r.m, r.sr, r.lam, r.sigma, r.rmse,
+        r.fit_seconds if real_timing else 0.0] for r in rows), ",")
 
 
 SEED_DETAIL_HEADER = "target,delta,s_star,m,seed,lambda,sigma,rmse,fit_seconds"
@@ -534,37 +527,33 @@ SEED_DETAIL_HEADER = "target,delta,s_star,m,seed,lambda,sigma,rmse,fit_seconds"
 def write_seed_detail_csv(path, detail: list[tuple[int, ResultRow]],
                           real_timing: bool = True) -> None:
     """Per-replicate rows behind the random-method means of simulation 2."""
-    lines = [SEED_DETAIL_HEADER]
-    for seed, r in detail:
-        secs = r.fit_seconds if real_timing else 0.0
-        lines.append(",".join([
-            r.target, _fmt(r.delta), str(r.s_star), str(r.m), str(seed),
-            _fmt(r.lam), _fmt(r.sigma), _fmt(r.rmse), _fmt(secs)]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_rows(path, [SEED_DETAIL_HEADER], ([
+        r.target, r.delta, r.s_star, r.m, seed, r.lam, r.sigma, r.rmse,
+        r.fit_seconds if real_timing else 0.0] for seed, r in detail), ",")
 
 
 def write_field_csv(path, export: FieldExport) -> None:
     """Dense-grid field export: coordinates plus the four value columns."""
-    lines = ["x,y,z,exact,noisy,prediction,abs_error"]
-    for p, e, ny, pr, ae in zip(export.points.xyz, export.exact, export.noisy,
-                                export.prediction, export.abs_error):
-        lines.append(f"{p[0]:.17g},{p[1]:.17g},{p[2]:.17g},"
-                     f"{e:.17g},{ny:.17g},{pr:.17g},{ae:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    table = np.column_stack([export.points.xyz, export.exact, export.noisy,
+                             export.prediction, export.abs_error])
+    _write_rows(path, ["x,y,z,exact,noisy,prediction,abs_error"], table.tolist(), ",")
+
+
+_nonneg = _number(float, 0)
+# the parser of each results column, in RESULTS_HEADER (= ResultRow field) order
+RESULTS_COLUMNS = (str, _nonneg, str, _number(int, 1), _number(int, 1), _nonneg, _nonneg,
+                   lambda text: None if text == "" else _nonneg(text), _nonneg, _nonneg)
 
 
 def read_results_csv(path) -> list[ResultRow]:
-    """Parse a results CSV back into rows (inverse of write_results_csv)."""
-    raw = Path(path).read_text(encoding="utf-8").splitlines()
-    if not raw or raw[0] != RESULTS_HEADER:
-        raise ValueError(f"{path}: unexpected header")
+    """Parse a results CSV back into rows (inverse of write_results_csv); any
+    fault, a non-finite or negative number included, raises ``PointFileError``
+    naming file:line."""
     rows = []
-    for line in raw[1:]:
-        f = line.split(",")
-        if len(f) != 10:
-            raise ValueError(f"{path}: expected 10 fields, got {len(f)}")
-        rows.append(ResultRow(
-            f[0], float(f[1]), f[2], int(f[3]), int(f[4]), float(f[5]),
-            float(f[6]), None if f[7] == "" else float(f[7]),
-            float(f[8]), float(f[9])))
+    for lineno, fields in _split_rows(path, _data_lines(path), len(RESULTS_COLUMNS),
+                                      ",", RESULTS_HEADER):
+        try:
+            rows.append(ResultRow(*(parse(f) for parse, f in zip(RESULTS_COLUMNS, fields))))
+        except ValueError as exc:
+            raise PointFileError(f"{path}:{lineno}: {exc}") from None
     return rows

@@ -144,28 +144,25 @@ def _coords(points) -> np.ndarray:
     return arr
 
 
-def _check_budget(rows: int, cols: int, budget_bytes: int | None):
-    budget = DEFAULT_MEMORY_BUDGET if budget_bytes is None else budget_bytes
+def _check_budget(rows: int, cols: int):
     need = rows * cols * 8
-    if need > budget:
+    if need > DEFAULT_MEMORY_BUDGET:
         raise MatrixSizeError(
             f"{rows} x {cols} kernel matrix needs {need / 2**30:.2f} GiB, "
-            f"budget is {budget / 2**30:.2f} GiB")
+            f"budget is {DEFAULT_MEMORY_BUDGET / 2**30:.2f} GiB")
 
 
-def cross_matrix(spec: KernelSpec, rows, cols,
-                 budget_bytes: int | None = None) -> np.ndarray:
+def cross_matrix(spec: KernelSpec, rows, cols) -> np.ndarray:
     """Dense |rows| x |cols| kernel matrix between two point sets.
 
     Either argument may be a PointSet or a raw (n, 3) array.
     """
     r, c = _coords(rows), _coords(cols)
-    _check_budget(len(r), len(c), budget_bytes)
+    _check_budget(len(r), len(c))
     return zonal_value(spec, r @ c.T)
 
 
-def gram(spec: KernelSpec, point_set,
-         budget_bytes: int | None = None) -> np.ndarray:
+def gram(spec: KernelSpec, point_set) -> np.ndarray:
     """Symmetric kernel matrix of a set against itself.
 
     numpy computes ``p @ p.T`` of a C-ordered ``p`` as a symmetric rank-k
@@ -173,5 +170,5 @@ def gram(spec: KernelSpec, point_set,
     satisfies ``M == M.T`` bitwise.
     """
     p = _coords(point_set)
-    _check_budget(len(p), len(p), budget_bytes)
+    _check_budget(len(p), len(p))
     return zonal_value(spec, p @ p.T)

@@ -92,33 +92,62 @@ def _data_lines(path) -> list[tuple[int, str]]:
     return [(i, s) for i, s in lines if s and not s.startswith("#")]
 
 
-def _read_rows(path, lines, n_fields: int, sep: str | None = None,
-               header: str | None = None) -> tuple[np.ndarray, list[int]]:
-    """The (n, n_fields) rows of `lines` (from :func:`_data_lines`), after a
-    first line equal to `header` if one is given, and each row's line number.
-
-    A row splits on `sep` (whitespace when None) into exactly `n_fields`
-    finite floats; any fault raises :class:`PointFileError` naming file:line.
-    """
+def _split_rows(path, lines, n_fields: int, sep: str | None = None,
+                header: str | None = None):
+    """Yield ``(line number, fields)`` for each row of `lines` (from
+    :func:`_data_lines`) after a first line equal to `header`, if given: the
+    line split on `sep` (whitespace when None) into exactly `n_fields` fields.
+    A fault raises :class:`PointFileError` naming file:line."""
     if header is not None:
         if not lines or lines[0][1] != header:
             raise PointFileError(f"{path}:{lines[0][0] if lines else 1}: "
                                  f"expected header {header!r}")
         lines = lines[1:]
-    rows = []
     for lineno, text in lines:
         fields = text.split(sep)
         if len(fields) != n_fields:
             raise PointFileError(f"{path}:{lineno}: expected {n_fields} fields, got {len(fields)}")
+        yield lineno, fields
+
+
+def _read_rows(path, lines, n_fields: int, sep: str | None = None,
+               header: str | None = None) -> tuple[np.ndarray, list[int]]:
+    """The (n, n_fields) table of :func:`_split_rows` and each row's line
+    number; every field must be a finite float (:class:`PointFileError`
+    naming file:line otherwise)."""
+    rows, linenos = [], []
+    for lineno, fields in _split_rows(path, lines, n_fields, sep, header):
         try:
             rows.append(list(map(float, fields)))
         except ValueError as exc:
             raise PointFileError(f"{path}:{lineno}: {exc}") from None
+        linenos.append(lineno)
     table = np.array(rows, dtype=float).reshape(len(rows), n_fields)
     bad = ~np.isfinite(table).all(axis=1)
     if bad.any():
-        raise PointFileError(f"{path}:{lines[int(np.argmax(bad))][0]}: non-finite value")
-    return table, [i for i, _ in lines]
+        raise PointFileError(f"{path}:{linenos[int(np.argmax(bad))]}: non-finite value")
+    return table, linenos
+
+
+def _number(kind: type, low: int):
+    """Parser (raising ``ValueError``) of a finite `kind` (int or float) >= `low`."""
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and value >= low):
+            raise ValueError(f"expected a finite {kind.__name__} >= {low}, got {text!r}")
+        return value
+    return parse
+
+
+def _write_rows(path, head: list[str], rows, sep: str = " ") -> None:
+    """Write the `head` lines, then each row's fields joined by `sep`: a float
+    to 17 significant digits (it reads back bit for bit), None as an empty
+    field, anything else as ``str`` gives it; UTF-8, each line ending in a
+    newline.  Pass numeric tables as ``.tolist()``: formatting numpy scalars
+    one at a time takes about 1.5 times as long."""
+    body = (sep.join([f"{v:.17g}" if isinstance(v, float) else "" if v is None else str(v)
+                      for v in row]) for row in rows)
+    Path(path).write_text("\n".join([*head, *body, ""]), encoding="utf-8")
 
 
 def _unit_points(path, xyz: np.ndarray, linenos: list[int],
@@ -146,12 +175,10 @@ def load_point_file(path) -> PointSet:
 
 
 def save_point_file(path, point_set: PointSet, header: str | None = None) -> None:
-    """Write a point set in the ``x y z`` text format (17 significant digits)."""
-    lines = []
-    if header:
-        lines += [f"# {h}" for h in header.splitlines()]
-    lines += [f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}" for p in point_set.xyz]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write a point set in the ``x y z`` text format, each line of `header`
+    as a ``#`` comment above the points."""
+    head = [f"# {h}" for h in header.splitlines()] if header else []
+    _write_rows(path, head, point_set.xyz.tolist())
 
 
 def generate_spiral(n: int) -> PointSet:

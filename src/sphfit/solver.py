@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 
 from .kernels import KernelSpec, cross_matrix, gram, zonal_value
-from .points import PointFileError, PointSet, _data_lines, _read_rows, _unit_points
+from .points import (PointFileError, PointSet, _data_lines, _number, _read_rows,
+                     _unit_points, _write_rows)
 
 PREDICT_BLOCK_BYTES = 64 << 20
 # Largest bound on cond_2(Knm^T Knm + lam*N*Kmm) for which a sweep solves lam
@@ -272,22 +272,20 @@ def predict_sweep(models: list[FittedModel], points: PointSet) -> list[np.ndarra
 
 
 MODEL_MAGIC = "sphfit-model v1"
+# the model file's header keys, in file order, each with the parser of its value
+MODEL_HEADER = {"kernel": KernelSpec.parse, "lambda": _number(float, 0),
+                "training_size": _number(int, 1),
+                "design_degree": lambda text: None if text == "-" else _number(int, 0)(text),
+                "n_centers": _number(int, 1)}
 
 
 def save_model(path, model: FittedModel) -> None:
-    """Write a model as text: header lines, then x y z alpha rows."""
+    """Write a model: the magic line, ``key value`` header lines, then x y z alpha rows."""
     centers = model.centers
-    lines = [
-        MODEL_MAGIC,
-        f"kernel {model.kernel.describe()}",
-        f"lambda {model.lam:.17g}",
-        f"training_size {model.training_size}",
-        f"design_degree {centers.design_degree if centers.design_degree is not None else '-'}",
-        f"n_centers {len(centers)}",
-    ]
-    for p, a in zip(centers.xyz, model.coefficients):
-        lines.append(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g} {a:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    degree = "-" if centers.design_degree is None else centers.design_degree
+    values = (model.kernel.describe(), model.lam, model.training_size, degree, len(centers))
+    table = np.column_stack([centers.xyz, model.coefficients])
+    _write_rows(path, [MODEL_MAGIC], [*zip(MODEL_HEADER, values), *table.tolist()])
 
 
 def load_model(path) -> FittedModel:
@@ -295,19 +293,20 @@ def load_model(path) -> FittedModel:
     lines = _data_lines(path)
     if not lines or lines[0][1] != MODEL_MAGIC:
         raise PointFileError(f"{path}:{lines[0][0] if lines else 1}: not a sphfit model file")
-    header: dict[str, str] = {}
-    for i, key in enumerate(("kernel", "lambda", "training_size", "design_degree",
-                             "n_centers"), start=1):
+    header = {}
+    for i, (key, parse) in enumerate(MODEL_HEADER.items(), start=1):
         lineno, text = lines[i] if i < len(lines) else (lines[-1][0] + 1, "")
         parts = text.split(None, 1)
         if len(parts) != 2 or parts[0] != key:
             raise PointFileError(f"{path}:{lineno}: expected header line {key!r}, got {text!r}")
-        header[key] = parts[1]
-    m = int(header["n_centers"])
+        try:
+            header[key] = parse(parts[1])
+        except ValueError as exc:
+            raise PointFileError(f"{path}:{lineno}: {key}: {exc}") from None
+    m = header["n_centers"]
     table, linenos = _read_rows(path, lines[6:], 4)
     if len(table) != m:
         raise PointFileError(f"{path}: expected {m} 'x y z alpha' rows, got {len(table)}")
-    degree = None if header["design_degree"] == "-" else int(header["design_degree"])
-    centers = _unit_points(path, table[:, :3], linenos, degree)
-    return FittedModel(KernelSpec.parse(header["kernel"]), centers, table[:, 3].copy(),
-                       float(header["lambda"]), int(header["training_size"]), None)
+    centers = _unit_points(path, table[:, :3], linenos, header["design_degree"])
+    return FittedModel(header["kernel"], centers, table[:, 3].copy(),
+                       header["lambda"], header["training_size"], None)

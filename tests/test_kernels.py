@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphfit import kernels
 from sphfit.kernels import (KernelSpec, MatrixSizeError, cross_matrix,
                             eval_kernel, gram, wendland_psi, zonal_value)
 
@@ -251,10 +252,13 @@ class TestMatrices:
         assert np.allclose(cross_matrix(spec, a @ q.T, b @ q.T),
                            cross_matrix(spec, a, b), atol=1e-12)
 
-    def test_memory_budget_enforced(self, rng):
+    def test_memory_budget_enforced(self, rng, monkeypatch):
+        monkeypatch.setattr(kernels, "DEFAULT_MEMORY_BUDGET", 10**6)
         pts = random_unit_points(rng, 2000)
         with pytest.raises(MatrixSizeError):
-            cross_matrix(KernelSpec.wendland(), pts, pts, budget_bytes=10**6)
+            cross_matrix(KernelSpec.wendland(), pts, pts)
+        with pytest.raises(MatrixSizeError):
+            gram(KernelSpec.wendland(), pts)
 
     def test_budget_error_is_memory_error(self):
         assert issubclass(MatrixSizeError, MemoryError)

@@ -37,6 +37,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
 from sphfit.legendre import _residual_sweep as legendre_residuals  # noqa: E402
+from sphfit.points import PointSet, _write_rows, save_point_file  # noqa: E402
 
 DEFAULT_OUT = SRC / "sphfit" / "data" / "designs"
 
@@ -181,13 +182,10 @@ def canonical_order(points):
 def write_design(out_dir, t, points, worst):
     n = len(points)
     path = out_dir / f"t{t:03d}_n{n:05d}.txt"
-    lines = [
-        f"# symmetric spherical design, degree {t}, {n} points",
-        f"# max equal-weight Legendre residual over degrees 1..{t}: {worst:.3e}",
-        "# generated by tools/generate_designs.py",
-    ]
-    lines += [f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}" for p in points]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    save_point_file(path, PointSet(points), header=(
+        f"symmetric spherical design, degree {t}, {n} points\n"
+        f"max equal-weight Legendre residual over degrees 1..{t}: {worst:.3e}\n"
+        "generated by tools/generate_designs.py"))
     return path
 
 
@@ -216,11 +214,8 @@ def main():
               f" ({time.time() - t0:.1f}s)", flush=True)
 
     manifest = args.out / "MANIFEST.sha256"
-    rows = []
-    for f in sorted(args.out.glob("t*_n*.txt")):
-        digest = hashlib.sha256(f.read_bytes()).hexdigest()
-        rows.append(f"{digest}  {f.name}")
-    manifest.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    _write_rows(manifest, [], ([hashlib.sha256(f.read_bytes()).hexdigest(), f.name]
+                               for f in sorted(args.out.glob("t*_n*.txt"))), "  ")
     print(f"wrote {manifest}")
 
 
