@@ -16,7 +16,7 @@ from .harness import (ExperimentConfig, GridSpec, ResultRow, SketchMethod,
                       grid_search, grid_search_multi, parse_config,
                       run_simulation1, run_simulation2, run_simulation3,
                       select_sketch)
-from .kernels import KernelSpec, cross_matrix, eval_kernel, gram, wendland_psi
+from .kernels import KernelSpec, cross_matrix, gram, wendland_psi
 from .legendre import (DesignReport, design_residual, legendre_p,
                        verify_design)
 from .points import (PointSet, eq_area_centers, generate_spiral,
@@ -37,7 +37,7 @@ __all__ = [
     "grid_search", "grid_search_multi", "parse_config", "run_simulation1",
     "run_simulation2",
     "run_simulation3", "select_sketch",
-    "KernelSpec", "cross_matrix", "eval_kernel", "gram", "wendland_psi",
+    "KernelSpec", "cross_matrix", "gram", "wendland_psi",
     "DesignReport", "design_residual", "legendre_p", "verify_design",
     "PointSet", "eq_area_centers", "generate_spiral", "load_point_file",
     "mesh_norm", "save_point_file", "separation_radius",

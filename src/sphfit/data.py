@@ -15,6 +15,7 @@ platforms.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,17 +44,17 @@ def franke_f1(xyz) -> np.ndarray:
     )
 
 
+@functools.cache
 def default_f2_centers() -> PointSet:
     """The 20 equal-area region centers used as bump locations for f2."""
     return eq_area_centers(N_F2_CENTERS)
 
 
-def wendland_target_f2(xyz, centers: PointSet | None = None) -> np.ndarray:
-    """Sum of Wendland bumps: f2(x) = sum_i psi((2 - 2 x.z_i)^(1/2))."""
-    if centers is None:
-        centers = default_f2_centers()
+def wendland_target_f2(xyz) -> np.ndarray:
+    """Sum of Wendland bumps: f2(x) = sum_i psi((2 - 2 x.z_i)^(1/2)) over the
+    bump centers z_i of :func:`default_f2_centers`."""
     p = np.asarray(xyz, dtype=float)
-    return zonal_value(KernelSpec.wendland(), p @ centers.xyz.T).sum(axis=-1)
+    return zonal_value(KernelSpec.wendland(), p @ default_f2_centers().xyz.T).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -61,23 +62,21 @@ class TargetFunction:
     """Named target: ``f1`` (Franke mixture) or ``f2`` (Wendland bump sum)."""
 
     name: str
-    centers: PointSet | None = None     # f2 bump locations; None = default 20
 
     def __post_init__(self):
-        if self.name == "f1":
-            if self.centers is not None:
-                raise ValueError("f1 takes no centers")
-        elif self.name == "f2":
-            if self.centers is None:
-                object.__setattr__(self, "centers", default_f2_centers())
-        else:
+        if self.name not in ("f1", "f2"):
             raise ValueError(f"unknown target {self.name!r}")
+
+    @property
+    def centers(self) -> PointSet | None:
+        """f2's bump locations (:func:`default_f2_centers`); None for f1."""
+        return default_f2_centers() if self.name == "f2" else None
 
     def __call__(self, points) -> np.ndarray:
         xyz = points.xyz if isinstance(points, PointSet) else points
         if self.name == "f1":
             return franke_f1(xyz)
-        return wendland_target_f2(xyz, self.centers)
+        return wendland_target_f2(xyz)
 
     @classmethod
     def by_name(cls, name: str) -> "TargetFunction":

@@ -296,6 +296,8 @@ class ExperimentConfig:
             raise ConfigError("training degree t must be odd and positive")
         if self.n_seeds < 1 or self.n_test < 2:
             raise ConfigError("n_seeds >= 1 and n_test >= 2 required")
+        if self.deltas is not None and not self.deltas:
+            raise ConfigError("noise deltas must not be empty")
         if not all(np.isfinite(d) and d >= 0
                    for d in (*(self.deltas or ()), self.sim3_delta)):
             raise ConfigError("noise deltas and sim3 delta must be finite and >= 0")
@@ -358,11 +360,15 @@ def parse_config(path) -> ExperimentConfig:
         [sim3]        delta = 0.1    s_star = 25    grid_n = 40000
     """
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"config file {path} does not exist") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} cannot be read: {exc}") from None
     parser = configparser.ConfigParser()
     try:
-        parser.read(path)
+        parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -392,6 +398,9 @@ def _training_and_test(cfg: ExperimentConfig):
 
 
 def _check_s_stars(cfg: ExperimentConfig, s_stars) -> None:
+    if not s_stars:
+        raise ConfigError("no s_star values to run: the list is empty, or no "
+                          f"default value is <= training degree t={cfg.t}")
     bad = [s for s in s_stars if s > cfg.t or s < 1 or s % 2 == 0]
     if bad:
         raise ConfigError(

@@ -127,23 +127,6 @@ def zonal_value(spec: KernelSpec, dot) -> np.ndarray:
     return out if out.ndim else out[()]
 
 
-def eval_kernel(spec: KernelSpec, a, b) -> float:
-    """Kernel value between two unit points."""
-    dot = float(np.dot(np.asarray(a, float), np.asarray(b, float)))
-    return float(zonal_value(spec, dot))
-
-
-def _coords(points) -> np.ndarray:
-    """Accept a PointSet or a raw (n, 3) array of unit vectors; a raw one is
-    made C-ordered, so :func:`gram`'s ``p @ p.T`` is one symmetric ``syrk``."""
-    if isinstance(points, PointSet):
-        return points.xyz
-    arr = np.ascontiguousarray(points, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ValueError(f"expected (n, 3) coordinates, got shape {arr.shape}")
-    return arr
-
-
 def _check_budget(rows: int, cols: int):
     need = rows * cols * 8
     if need > DEFAULT_MEMORY_BUDGET:
@@ -152,23 +135,18 @@ def _check_budget(rows: int, cols: int):
             f"budget is {DEFAULT_MEMORY_BUDGET / 2**30:.2f} GiB")
 
 
-def cross_matrix(spec: KernelSpec, rows, cols) -> np.ndarray:
+def cross_matrix(spec: KernelSpec, rows: PointSet, cols: PointSet) -> np.ndarray:
     """Dense |rows| x |cols| kernel matrix between two point sets.
 
-    Either argument may be a PointSet or a raw (n, 3) array.
-    """
-    r, c = _coords(rows), _coords(cols)
-    _check_budget(len(r), len(c))
-    return zonal_value(spec, r @ c.T)
-
-
-def gram(spec: KernelSpec, point_set) -> np.ndarray:
-    """Symmetric kernel matrix of a set against itself.
-
-    numpy computes ``p @ p.T`` of a C-ordered ``p`` as a symmetric rank-k
-    update (``syrk``) and fills the other triangle by copying, so the result
+    With ``rows is cols``, numpy computes the product of the C-ordered
+    coordinates with their own transpose as a symmetric rank-k update
+    (``syrk``) and fills the other triangle by copying, so the result
     satisfies ``M == M.T`` bitwise.
     """
-    p = _coords(point_set)
-    _check_budget(len(p), len(p))
-    return zonal_value(spec, p @ p.T)
+    _check_budget(len(rows), len(cols))
+    return zonal_value(spec, rows.xyz @ cols.xyz.T)
+
+
+def gram(spec: KernelSpec, point_set: PointSet) -> np.ndarray:
+    """Symmetric kernel matrix of a set against itself (bitwise symmetric)."""
+    return cross_matrix(spec, point_set, point_set)

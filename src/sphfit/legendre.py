@@ -17,6 +17,11 @@ import numpy as np
 from .points import PointSet
 
 DEFAULT_DESIGN_TOL = 1e-8
+# Rows of the dot-product matrix per block of a residual sweep.  A row count,
+# not a byte budget: each of the k_max recurrence steps passes over the whole
+# block, so smaller blocks run faster.  On 2 vCPUs the degree-57 sweep of the
+# t = 57 design took 1.0-1.2 s in 512-row blocks, 1.3 s in one 1656-row block.
+RESIDUAL_ROW_BLOCK = 512
 
 
 def _legendre_series(u, k_max: int):
@@ -51,16 +56,17 @@ def legendre_p(k: int, u) -> np.ndarray | float:
     return float(out[0]) if scalar else out
 
 
-def _residual_sweep(xyz: np.ndarray, k_max: int, row_block: int = 512) -> np.ndarray:
+def _residual_sweep(xyz: np.ndarray, k_max: int) -> np.ndarray:
     """Accumulated sums of P_k over all dot-product pairs, k = 1..k_max.
 
-    Runs the recurrence blockwise over rows so memory stays O(block * N);
-    block order is fixed, so results are run-to-run identical.
+    Runs the recurrence over blocks of ``RESIDUAL_ROW_BLOCK`` rows, so memory
+    stays O(block * N); block order is fixed, so results are run-to-run
+    identical.
     """
     n = len(xyz)
     sums = np.zeros(k_max)
-    for lo in range(0, n, row_block):
-        u = np.clip(xyz[lo:lo + row_block] @ xyz.T, -1.0, 1.0)
+    for lo in range(0, n, RESIDUAL_ROW_BLOCK):
+        u = np.clip(xyz[lo:lo + RESIDUAL_ROW_BLOCK] @ xyz.T, -1.0, 1.0)
         for k, pk in enumerate(_legendre_series(u, k_max)):
             sums[k] += pk.sum()
     return sums / n**2

@@ -16,6 +16,10 @@ import numpy as np
 
 UNIT_TOL = 1e-12          # post-normalization unit-norm tolerance
 LOAD_NORM_TOL = 1e-6      # acceptable norm deviation in point files
+# Bytes of one row block of a float64 dot-product matrix: prediction on a
+# test grid, the mesh norm's probe grid and the separation radius build
+# their (rows x points) matrices this many bytes at a time.
+BLOCK_BYTES = 64 << 20
 
 
 class PointFileError(ValueError):
@@ -316,12 +320,18 @@ def eq_area_centers(n: int) -> PointSet:
 # ---------------------------------------------------------------------------
 # Geometric diagnostics
 
-def _min_geodesic_to_set(queries: np.ndarray, pts: np.ndarray, chunk: int = 65536):
-    """For each query row, max dot product against `pts` (chunked)."""
+def _row_blocks(n_rows: int, n_cols: int):
+    """Consecutive row slices of an (n_rows, n_cols) float64 matrix, each
+    within ``BLOCK_BYTES`` (and at least one row)."""
+    step = max(1, BLOCK_BYTES // (8 * n_cols))
+    return (slice(lo, lo + step) for lo in range(0, n_rows, step))
+
+
+def _min_geodesic_to_set(queries: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """For each query row, max dot product against `pts` (blockwise)."""
     best = np.empty(len(queries))
-    for lo in range(0, len(queries), chunk):
-        hi = min(lo + chunk, len(queries))
-        best[lo:hi] = (queries[lo:hi] @ pts.T).max(axis=1)
+    for rows in _row_blocks(len(queries), len(pts)):
+        best[rows] = (queries[rows] @ pts.T).max(axis=1)
     return best
 
 
@@ -373,11 +383,9 @@ def separation_radius(point_set: PointSet) -> float:
     if n < 2:
         raise ValueError("separation radius needs at least 2 points")
     worst = -1.0
-    chunk = max(1, 2**22 // max(n, 1))
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        dots = pts[lo:hi] @ pts.T
-        for r in range(lo, hi):
-            dots[r - lo, r] = -2.0  # mask self-pair
+    for rows in _row_blocks(n, n):
+        dots = pts[rows] @ pts.T
+        i = np.arange(len(dots))
+        dots[i, rows.start + i] = -2.0      # mask the self-pairs
         worst = max(worst, float(dots.max()))
     return float(np.arccos(np.clip(worst, -1.0, 1.0)) / 2.0)

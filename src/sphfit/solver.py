@@ -28,9 +28,8 @@ import scipy.linalg
 
 from .kernels import KernelSpec, cross_matrix, gram, zonal_value
 from .points import (PointFileError, PointSet, _data_lines, _number, _read_rows,
-                     _unit_points, _write_rows)
+                     _row_blocks, _unit_points, _write_rows)
 
-PREDICT_BLOCK_BYTES = 64 << 20
 # Largest bound on cond_2(Knm^T Knm + lam*N*Kmm) for which a sweep solves lam
 # in the whitened basis.  Far below 1 / (m * eps), so an admitted lam is one
 # whose pseudo-inverse would drop no eigenvalue: both paths compute the same
@@ -47,7 +46,6 @@ class SolveDiagnostics:
     eigen_threshold: float      # cutoff below which eigenvalues were dropped
     residual_norm: float        # ||A alpha - b||_2 of the solved system
     wall_time: float            # seconds to assemble the kernel matrices and solve
-    zero_lambda: bool = False   # lam = 0 was requested (pseudo-inverse territory)
 
 
 @dataclass(frozen=True)
@@ -189,7 +187,7 @@ def fit_sketched_sweep(kernel: KernelSpec, data: PointSet, label_sets,
             diag = SolveDiagnostics(
                 method, len(w), threshold,
                 residual_norm=float(np.linalg.norm(gtg @ coef + shift * (kmm @ coef) - b)),
-                wall_time=wall, zero_lambda=(lam == 0.0))
+                wall_time=wall)
             out.append(FittedModel(kernel, centers, coef, lam, n, diag))
     return models
 
@@ -258,11 +256,9 @@ def predict_sweep(models: list[FittedModel], points: PointSet) -> list[np.ndarra
         raise ValueError("predict_sweep models must share one kernel and one center set")
     xyz = points.xyz
     cx = centers.xyz
-    rows_per_block = max(1, PREDICT_BLOCK_BYTES // (8 * max(len(centers), 1)))
     parts = []
-    for lo in range(0, len(points), rows_per_block):
-        hi = min(lo + rows_per_block, len(points))
-        block = zonal_value(kernel, xyz[lo:hi] @ cx.T)
+    for rows in _row_blocks(len(points), len(centers)):
+        block = zonal_value(kernel, xyz[rows] @ cx.T)
         # Outputs are allocated only after the block's temporaries are freed,
         # and the block is dropped before the next one is built: peak memory
         # is one block plus the outputs.

@@ -264,6 +264,34 @@ class TestSimulate:
                    str(tmp_path / "no.ini"), "--out-dir", str(tmp_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, kind):
+        # a config that cannot be read must not run the default experiment
+        ini = tmp_path / "cfg.ini"
+        if kind == "directory":
+            ini.mkdir()
+        else:
+            ini.write_bytes(b"[experiment]\nt = 9\n; caf\xe9\n")
+        rc = main(["simulate", "--sim", "1", "--config", str(ini),
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert str(ini) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("sim, text", [
+        (1, "[experiment]\nt = 9\n[noise]\ndeltas =\n"),
+        (1, "[experiment]\nt = 9\n[sketch]\ns_stars =\n"),
+        (2, "[experiment]\nt = 7\n")], ids=["no-deltas", "no-s-stars", "sim2-t-below-9"])
+    def test_empty_experiment_exits_2(self, tmp_path, capsys, sim, text):
+        # each would write a results CSV with only its header
+        ini = tmp_path / "empty.ini"
+        ini.write_text(text)
+        rc = main(["simulate", "--sim", str(sim), "--config", str(ini),
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert "empty" in capsys.readouterr().err
+        assert not (tmp_path / "o" / f"sim{sim}.csv").exists()
+
     def test_unattainable_s_star(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[experiment]\nt = 9\n[sketch]\ns_stars = 25\n")

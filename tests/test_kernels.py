@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphfit import kernels
-from sphfit.kernels import (KernelSpec, MatrixSizeError, cross_matrix,
-                            eval_kernel, gram, wendland_psi, zonal_value)
+from sphfit.kernels import (KernelSpec, MatrixSizeError, cross_matrix, gram,
+                            wendland_psi, zonal_value)
+from sphfit.points import PointSet
 
 from conftest import random_unit_points
 
@@ -198,7 +199,7 @@ class TestMatrices:
         a = random_unit_points(rng, 5)
         b = random_unit_points(rng, 7)
         for spec in (KernelSpec.gaussian(0.4), KernelSpec.wendland()):
-            m = cross_matrix(spec, a, b)
+            m = cross_matrix(spec, PointSet(a), PointSet(b))
             assert m.shape == (5, 7)
             for i in range(5):
                 for j in range(7):
@@ -210,36 +211,35 @@ class TestMatrices:
         m = cross_matrix(spec, design13, design13)
         assert m.shape == (len(design13), len(design13))
 
-    def test_eval_kernel_single_pair(self):
-        spec = KernelSpec.gaussian(1.0)
-        v = eval_kernel(spec, [0.0, 0.0, 1.0], [0.0, 0.0, -1.0])
-        assert v == pytest.approx(math.exp(-2.0))
-        assert isinstance(v, float)
+    def test_single_pair(self):
+        north, south = (PointSet(np.array([[0.0, 0.0, z]])) for z in (1.0, -1.0))
+        m = cross_matrix(KernelSpec.gaussian(1.0), north, south)
+        assert m.shape == (1, 1)
+        assert m[0, 0] == pytest.approx(math.exp(-2.0))
 
     def test_gram_bitwise_symmetric(self, rng):
-        # raw coordinates in C order, F order, and as row- and column-strided
+        # coordinates in C order, F order, and as row- and column-strided
         # views; numpy's product of a column-strided 300 x 3 array with its
-        # transpose is not symmetric, so gram must not multiply it as given
+        # transpose is not symmetric, so PointSet must store them C-ordered
         pts = random_unit_points(rng, 300)
         layouts = (pts, np.asfortranarray(pts), np.repeat(pts, 2, axis=0)[::2],
                    np.repeat(pts, 2, axis=1)[:, ::2])
         for spec in (KernelSpec.gaussian(0.2), KernelSpec.wendland()):
             for raw in layouts:
-                g = gram(spec, raw)
+                g = gram(spec, PointSet(raw))
                 assert np.array_equal(g, g.T)
-                assert np.array_equal(g, gram(spec, pts))
+                assert np.array_equal(g, gram(spec, PointSet(pts)))
                 assert np.allclose(np.diag(g), 1.0, atol=1e-15)
 
     def test_gram_matches_cross_matrix(self, rng):
-        pts = random_unit_points(rng, 31)
-        spec = KernelSpec.gaussian(0.7)
-        assert np.allclose(gram(spec, pts), cross_matrix(spec, pts, pts),
-                           atol=1e-15)
+        pts = PointSet(random_unit_points(rng, 31))
+        for spec in (KernelSpec.gaussian(0.7), KernelSpec.wendland()):
+            assert np.array_equal(gram(spec, pts), cross_matrix(spec, pts, pts))
 
     def test_gram_positive_semidefinite(self, rng):
         for spec in (KernelSpec.gaussian(0.3), KernelSpec.wendland()):
             for n in (10, 50):
-                pts = random_unit_points(rng, n)
+                pts = PointSet(random_unit_points(rng, n))
                 w = np.linalg.eigvalsh(gram(spec, pts))
                 assert w.min() >= -1e-10 * max(w.max(), 1.0)
 
@@ -249,12 +249,12 @@ class TestMatrices:
         b = random_unit_points(rng, 20)
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         spec = KernelSpec.gaussian(0.5)
-        assert np.allclose(cross_matrix(spec, a @ q.T, b @ q.T),
-                           cross_matrix(spec, a, b), atol=1e-12)
+        assert np.allclose(cross_matrix(spec, PointSet(a @ q.T), PointSet(b @ q.T)),
+                           cross_matrix(spec, PointSet(a), PointSet(b)), atol=1e-12)
 
     def test_memory_budget_enforced(self, rng, monkeypatch):
         monkeypatch.setattr(kernels, "DEFAULT_MEMORY_BUDGET", 10**6)
-        pts = random_unit_points(rng, 2000)
+        pts = PointSet(random_unit_points(rng, 2000))
         with pytest.raises(MatrixSizeError):
             cross_matrix(KernelSpec.wendland(), pts, pts)
         with pytest.raises(MatrixSizeError):
@@ -264,7 +264,7 @@ class TestMatrices:
         assert issubclass(MatrixSizeError, MemoryError)
 
     def test_values_bounded(self, rng):
-        a = random_unit_points(rng, 60)
+        a = PointSet(random_unit_points(rng, 60))
         for spec in (KernelSpec.gaussian(0.15), KernelSpec.wendland()):
             m = gram(spec, a)
             assert m.min() >= 0.0

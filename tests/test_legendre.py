@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphfit import legendre
 from sphfit.legendre import (DesignReport, design_residual, legendre_p,
                              verify_design)
 from sphfit.points import PointSet, generate_spiral
@@ -95,7 +96,9 @@ class TestDesignResidual:
         spiral = generate_spiral(94)
         assert design_residual(spiral, 2) > 1e-6
 
-    def test_blockwise_matches_direct(self, rng):
+    def test_blockwise_matches_direct(self, rng, monkeypatch):
+        # 7-row blocks: the 30 points span four full blocks and a ragged one
+        monkeypatch.setattr(legendre, "RESIDUAL_ROW_BLOCK", 7)
         ps = PointSet(random_unit_points(rng, 30))
         dots = np.clip(ps.xyz @ ps.xyz.T, -1, 1)
         for k in range(1, 6):

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sphfit.points as points_mod
+from sphfit.designs import load_design
 from sphfit.points import (EqPartition, PointFileError, PointSet,
                            eq_area_centers, eq_area_partition,
                            generate_spiral, load_point_file, mesh_norm,
@@ -204,7 +207,6 @@ class TestDiagnostics:
         assert mesh_norm(pair) == pytest.approx(math.pi / 2, rel=1e-3)
 
     def test_mesh_norm_brute_force(self, rng):
-        from sphfit import load_design
         ps = load_design(5)
         probes = random_unit_points(rng, 10**6)
         nearest = np.arccos(np.clip((probes @ ps.xyz.T).max(axis=1), -1, 1))
@@ -226,6 +228,29 @@ class TestDiagnostics:
     def test_separation_needs_two(self):
         with pytest.raises(ValueError):
             separation_radius(PointSet(np.array([[0.0, 0.0, 1.0]])))
+
+    def test_mesh_norm_memory_bounded(self):
+        # 165600 probe points against the 1656-point design: built 65536 rows
+        # at a time, the probe matrix peaked at 834 MiB traced
+        ps = load_design(57)
+        tracemalloc.start()
+        try:
+            value = mesh_norm(ps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20
+        # the value before the blocking changed, up to BLAS rounding
+        assert value == pytest.approx(0.06789150839852381, rel=1e-12)
+
+    def test_separation_blockwise_matches_direct(self, monkeypatch):
+        # 3-row blocks: the 10 points span three full blocks and a ragged one
+        ps = generate_spiral(10)
+        dots = ps.xyz @ ps.xyz.T
+        np.fill_diagonal(dots, -2.0)
+        expect = np.arccos(np.clip(dots.max(), -1.0, 1.0)) / 2.0
+        monkeypatch.setattr(points_mod, "BLOCK_BYTES", 3 * 8 * 10)
+        assert separation_radius(ps) == pytest.approx(expect, rel=1e-12)
 
     @pytest.mark.parametrize("n", [10, 64, 301])
     def test_separation_below_mesh_norm(self, n):

@@ -12,6 +12,7 @@ from sphfit.designs import load_design
 from sphfit.harness import GridSpec, SketchMethod, select_sketch
 from sphfit.kernels import KernelSpec, cross_matrix, gram, zonal_value
 from sphfit.points import PointSet
+import sphfit.points as points_mod
 import sphfit.solver as solver_mod
 from sphfit.solver import (WHITENED_COND_LIMIT, FittedModel, fit_full,
                            fit_sketched, fit_sketched_multi, fit_sketched_sweep,
@@ -146,7 +147,7 @@ def single_model_block_loop(model: FittedModel, points: PointSet) -> np.ndarray:
     """The one-model-at-a-time block loop that predict_sweep replaced."""
     xyz = points.xyz
     cx = model.centers.xyz
-    rows_per_block = max(1, solver_mod.PREDICT_BLOCK_BYTES // (8 * max(len(model.centers), 1)))
+    rows_per_block = max(1, points_mod.BLOCK_BYTES // (8 * max(len(model.centers), 1)))
     out = np.empty(len(points))
     for lo in range(0, len(points), rows_per_block):
         hi = min(lo + rows_per_block, len(points))
@@ -177,7 +178,7 @@ class TestPredict:
         # same block size is deterministic bit for bit
         assert np.array_equal(predict(model, probe), whole)
         # a different block size only reorders BLAS reductions
-        monkeypatch.setattr(solver_mod, "PREDICT_BLOCK_BYTES", 4096)
+        monkeypatch.setattr(points_mod, "BLOCK_BYTES", 4096)
         small = predict(model, probe)
         assert np.abs(small - whole).max() <= 1e-12 * max(1.0, np.abs(whole).max())
 
@@ -189,7 +190,7 @@ class TestPredict:
         if block_rows is not None:
             # 3 full blocks of 150 rows and a ragged last one of 50
             assert n_probe // block_rows >= 3 and n_probe % block_rows
-            monkeypatch.setattr(solver_mod, "PREDICT_BLOCK_BYTES",
+            monkeypatch.setattr(points_mod, "BLOCK_BYTES",
                                 8 * len(design17) * block_rows)
         models = fit_sketched_multi(kernel, design17, smooth_values(design17),
                                     design17, [1e-2, 1e-4, 1e-6])
@@ -308,7 +309,6 @@ class TestMultiFit:
                 assert model.diagnostics == replace(ref.diagnostics,
                                                     wall_time=model.diagnostics.wall_time)
                 assert_matches_oracle(model, coef, rank)
-                assert model.diagnostics.zero_lambda == (model.lam == 0.0)
         if case == "duplicate-centers":
             # Kmm is singular: no whitening, every lam is the oracle's bit for bit
             assert all(m.diagnostics.method == "eig-pinv" for m in sweeps[0])
@@ -394,7 +394,7 @@ class TestWhitenedGuard:
         sweep = fit_sketched_multi(KernelSpec.wendland(), design13, y, centers, lams)
         oracle = per_lambda_eigh_fit(KernelSpec.wendland(), design13, y, centers, lams)
         assert [m.diagnostics.method for m in sweep] == ["whitened-eig", "eig-pinv"]
-        assert sweep[1].diagnostics.zero_lambda
+        assert sweep[1].lam == 0.0
         assert oracle[1][1] < len(centers)
         for model, (coef, rank) in zip(sweep, oracle):
             assert_matches_oracle(model, coef, rank)
@@ -449,7 +449,7 @@ class TestValidationAndDiagnostics:
     def test_sketched_allows_zero_lambda_flagged(self, design13):
         y = smooth_values(design13)
         model = fit_sketched(KernelSpec.wendland(), design13, y, design13, 0.0)
-        assert model.diagnostics.zero_lambda
+        assert model.lam == 0.0
         assert np.all(np.isfinite(model.coefficients))
 
     def test_rejects_wrong_length_values(self, design13):
@@ -475,7 +475,6 @@ class TestValidationAndDiagnostics:
         assert 0 < d.rank_used <= len(design13)
         assert d.residual_norm <= 1e-8 * max(1.0, np.abs(y).max())
         assert d.wall_time >= 0.0
-        assert not d.zero_lambda
 
     def test_full_uses_cholesky_when_possible(self, design13):
         model = fit_full(KernelSpec.gaussian(0.5), design13,
