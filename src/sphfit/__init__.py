@@ -16,9 +16,8 @@ from .harness import (ExperimentConfig, GridSpec, ResultRow, SketchMethod,
                       grid_search, grid_search_multi, parse_config,
                       run_simulation1, run_simulation2, run_simulation3,
                       select_sketch)
-from .kernels import KernelSpec, cross_matrix, gram, wendland_psi
-from .legendre import (DesignReport, design_residual, legendre_p,
-                       verify_design)
+from .kernels import KernelSpec, cross_matrix, gram
+from .legendre import DesignReport, harmonic_residuals, verify_design
 from .points import (PointSet, eq_area_centers, generate_spiral,
                      load_point_file, mesh_norm, save_point_file,
                      separation_radius)
@@ -37,8 +36,8 @@ __all__ = [
     "grid_search", "grid_search_multi", "parse_config", "run_simulation1",
     "run_simulation2",
     "run_simulation3", "select_sketch",
-    "KernelSpec", "cross_matrix", "gram", "wendland_psi",
-    "DesignReport", "design_residual", "legendre_p", "verify_design",
+    "KernelSpec", "cross_matrix", "gram",
+    "DesignReport", "harmonic_residuals", "verify_design",
     "PointSet", "eq_area_centers", "generate_spiral", "load_point_file",
     "mesh_norm", "save_point_file", "separation_radius",
     "FittedModel", "SolveDiagnostics", "fit_full", "fit_sketched",

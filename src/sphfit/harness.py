@@ -298,6 +298,11 @@ class ExperimentConfig:
             raise ConfigError("n_seeds >= 1 and n_test >= 2 required")
         if self.deltas is not None and not self.deltas:
             raise ConfigError("noise deltas must not be empty")
+        for name in ("deltas", "s_stars"):
+            values = getattr(self, name) or ()
+            if len(set(values)) < len(values):
+                # each value is one experiment cell: a repeat would refit it
+                raise ConfigError(f"{name} repeats a value: {values}")
         if not all(np.isfinite(d) and d >= 0
                    for d in (*(self.deltas or ()), self.sim3_delta)):
             raise ConfigError("noise deltas and sim3 delta must be finite and >= 0")

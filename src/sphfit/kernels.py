@@ -21,17 +21,6 @@ class MatrixSizeError(MemoryError):
     """Requested dense kernel matrix exceeds the memory budget."""
 
 
-def wendland_psi(u) -> np.ndarray | float:
-    """Compactly supported Wendland profile ``(1-u)_+^8 (32u^3+25u^2+8u+1)``."""
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr < 0.0):
-        raise ValueError("profile argument is a distance, must be >= 0")
-    inside = ~(u_arr >= 1.0)                # the support, and NaN stays NaN
-    out = np.zeros(u_arr.shape)
-    out[inside] = _wendland_profile(u_arr[inside])
-    return float(out) if np.isscalar(u) or u_arr.ndim == 0 else out
-
-
 def _wendland_profile(u: np.ndarray) -> np.ndarray:
     """The profile on its support, for a 1-d array of distances in [0, 1].
 

@@ -1,11 +1,19 @@
-"""Legendre polynomials and equal-weight quadrature (design) verification.
+"""Equal-weight quadrature (spherical design) verification from harmonic sums.
 
 A point set is a spherical t-design exactly when its equal-weight rule
 integrates every spherical polynomial of degree <= t.  The residual used
-here, ``r_k = (1/N^2) sum_ij P_k(x_i . x_j)``, is proportional to the sum
-of squared degree-k harmonic sums, so it is nonnegative and vanishes iff
-the rule is exact at degree k.  This keeps verification basis-free and
-rotation-invariant at O(N^2) per sweep.
+here is ``r_k = (1/N^2) sum_ij P_k(x_i . x_j)``, which by the addition
+theorem equals a sum of squared degree-k harmonic sums (Delsarte, Goethals
+& Seidel 1977):
+
+    sum_ij P_k(x_i . x_j) = |S_k0|^2 + 2 sum_{m=1..k} |S_km|^2,
+    S_km = sum_i q_k^m(x_i),
+
+with the semi-normalized harmonics ``q_k^m = sqrt((k-m)!/(k+m)!) P_k^m(z)
+e^{i m phi}``.  So ``r_k`` is nonnegative by construction, vanishes iff the
+rule is exact at degree k, and does not depend on the orientation of the
+set.  Computing the sums costs O(N t^2) for all degrees 1..t, instead of the
+O(N^2 t) of the pairwise double sum.
 """
 
 from __future__ import annotations
@@ -14,75 +22,55 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .points import PointSet
+from .points import PointSet, _row_blocks
 
 DEFAULT_DESIGN_TOL = 1e-8
-# Rows of the dot-product matrix per block of a residual sweep.  A row count,
-# not a byte budget: each of the k_max recurrence steps passes over the whole
-# block, so smaller blocks run faster.  On 2 vCPUs the degree-57 sweep of the
-# t = 57 design took 1.0-1.2 s in 512-row blocks, 1.3 s in one 1656-row block.
-RESIDUAL_ROW_BLOCK = 512
 
 
-def _legendre_series(u, k_max: int):
-    """Yield P_1(u), ..., P_{k_max}(u) by the three-term recurrence
-    ``(k+1) P_{k+1} = (2k+1) u P_k - k P_{k-1}``; stable on [-1, 1].
-    Steps run lazily, so nothing is computed past k_max.
+def harmonic_residuals(xyz: np.ndarray, k_max: int) -> np.ndarray:
+    """Residuals ``r_1, ..., r_{k_max}`` of the unit vectors `xyz` (n, 3).
+
+    The diagonal ``q_m^m = prod_{j<=m} sqrt((2j-1)/(2j)) (x + iy)^m`` needs
+    no angles, and each degree follows from the two below it by
+
+        q_k^m = ((2k-1) z q_{k-1}^m - sqrt((k-1)^2 - m^2) q_{k-2}^m) / sqrt(k^2 - m^2),
+
+    one step per degree, vectorized over m.  Every ``|q_k^m| <= 1``.  The
+    sums run over blocks of points within ``points.BLOCK_BYTES``, in a fixed
+    order, so results are run-to-run identical.
     """
-    pkm1, pk = 1.0, u
-    for k in range(k_max):
-        if k:
-            pkm1, pk = pk, ((2 * k + 1) * u * pk - k * pkm1) / (k + 1)
-        yield pk
-
-
-def legendre_p(k: int, u) -> np.ndarray | float:
-    """Legendre polynomial P_k(u), normalized so P_k(1) = 1.
-
-    Accepts scalars or arrays; `u` may exceed [-1, 1] by at most 1e-12
-    (clamped).
-    """
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(np.abs(u_arr) > 1.0 + 1e-12):
-        raise ValueError("argument outside [-1, 1] beyond clamp tolerance")
-    u_arr = np.clip(u_arr, -1.0, 1.0)
-    scalar = u_arr.ndim == 0
-    u_arr = np.atleast_1d(u_arr)
-    out = np.ones_like(u_arr)
-    for out in _legendre_series(u_arr, k):
-        pass
-    return float(out[0]) if scalar else out
-
-
-def _residual_sweep(xyz: np.ndarray, k_max: int) -> np.ndarray:
-    """Accumulated sums of P_k over all dot-product pairs, k = 1..k_max.
-
-    Runs the recurrence over blocks of ``RESIDUAL_ROW_BLOCK`` rows, so memory
-    stays O(block * N); block order is fixed, so results are run-to-run
-    identical.
-    """
-    n = len(xyz)
-    sums = np.zeros(k_max)
-    for lo in range(0, n, RESIDUAL_ROW_BLOCK):
-        u = np.clip(xyz[lo:lo + RESIDUAL_ROW_BLOCK] @ xyz.T, -1.0, 1.0)
-        for k, pk in enumerate(_legendre_series(u, k_max)):
-            sums[k] += pk.sum()
-    return sums / n**2
-
-
-def design_residual(point_set: PointSet, k: int) -> float:
-    """Equal-weight quadrature residual of the set at degree `k`.
-
-    Returns ``(1/N^2) sum_ij P_k(x_i . x_j)`` with tiny negative
-    cancellation noise clamped to 0.  Zero exactly when the set integrates
-    all degree-k spherical harmonics.
-    """
-    if k < 1:
-        raise ValueError("degree must be >= 1")
-    r = float(_residual_sweep(point_set.xyz, k)[k - 1])
-    return max(r, 0.0)
+    xyz = np.asarray(xyz, dtype=float)
+    n, size = len(xyz), k_max + 1
+    kk = np.arange(size, dtype=float)[:, None]
+    mm = kk.T
+    with np.errstate(invalid="ignore"):     # entries with m >= k go unused
+        c = np.sqrt((kk - 1) ** 2 - mm * mm)
+        d = np.sqrt(kk * kk - mm * mm)
+    j = np.arange(1, size)
+    diag_scale = np.sqrt((2 * j - 1) / (2 * j))
+    sums = np.zeros((size, size), dtype=complex)            # S[k, m]
+    # Three complex (k_max + 1)-row work buffers per point.
+    for rows in _row_blocks(n, 6 * size):
+        x, y, z = xyz[rows].T
+        z2 = np.repeat(z, 2)                # z against the (re, im) pairs
+        w = x + 1j * y
+        diag = np.ones(len(z), dtype=complex)
+        prev2, prev, tmp = (np.zeros((size, len(z)), dtype=complex) for _ in range(3))
+        prev[0] = 1.0                       # q_0^0
+        for k in range(1, size):
+            # prev2 holds q_{k-2}^m for m <= k-2 and zeros above; it becomes q_k
+            new, new_f = prev2[:k], prev2[:k].view(float)
+            new_f *= -c[k, :k, None]
+            np.multiply(prev[:k].view(float), (2 * k - 1) * z2, out=tmp[:k].view(float))
+            new += tmp[:k]
+            new_f /= d[k, :k, None]
+            diag *= w
+            diag *= diag_scale[k - 1]
+            prev2[k] = diag                 # q_k^k
+            sums[k, :k + 1] += prev2[:k + 1].sum(axis=1)
+            prev2, prev = prev, prev2
+    power = sums[1:].real ** 2 + sums[1:].imag ** 2
+    return (power[:, 0] + 2.0 * power[:, 1:].sum(axis=1)) / n**2
 
 
 @dataclass(frozen=True)
@@ -106,14 +94,15 @@ def verify_design(point_set: PointSet, t_max: int,
     """Sweep residuals for degrees 1..t_max and report the verified degree.
 
     The verified degree is the largest t with residuals below `tol` at all
-    degrees 1..t.  One O(N^2 t_max) pass computes the whole sweep.
+    degrees 1..t.  One O(N t_max^2) pass of :func:`harmonic_residuals`
+    computes the whole sweep.
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
-    raw = _residual_sweep(point_set.xyz, t_max)
-    residuals = tuple((k + 1, max(float(r), 0.0)) for k, r in enumerate(raw))
+    raw = harmonic_residuals(point_set.xyz, t_max)
+    residuals = tuple((k + 1, float(r)) for k, r in enumerate(raw))
     verified = 0
     for k, r in residuals:
         if r > tol:

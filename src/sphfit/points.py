@@ -227,26 +227,6 @@ class EqPartition:
     collar_counts: tuple[int, ...] = ()
     offsets: tuple[float, ...] = ()
 
-    def region_of(self, xyz: np.ndarray) -> np.ndarray:
-        """Region index (0..n-1, in center-point order) of each row of `xyz`."""
-        xyz = np.atleast_2d(xyz)
-        colat = np.arccos(np.clip(xyz[:, 2], -1.0, 1.0))
-        az = np.mod(np.arctan2(xyz[:, 1], xyz[:, 0]), 2.0 * np.pi)
-        idx = np.zeros(len(colat), dtype=int)
-        if self.n == 1:
-            return idx
-        zone = np.clip(np.searchsorted(self.cap_colats, colat, side="right"), 0,
-                       len(self.collar_counts) + 1)
-        first = 1
-        for ci, (count, off) in enumerate(zip(self.collar_counts, self.offsets)):
-            in_collar = zone == ci + 1
-            cell = np.floor(np.mod(az[in_collar] / (2 * np.pi) - off, 1.0) * count).astype(int)
-            idx[in_collar] = first + np.clip(cell, 0, count - 1)
-            first += count
-        idx[zone == 0] = 0
-        idx[zone == len(self.collar_counts) + 1] = self.n - 1
-        return idx
-
 
 def _round_preserving_total(ideal: list[float]) -> list[int]:
     counts, disc = [], 0.0

@@ -24,7 +24,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .kernels import KernelSpec, cross_matrix, gram, zonal_value
 from .points import (PointFileError, PointSet, _data_lines, _number, _read_rows,
@@ -213,6 +212,9 @@ def fit_full(kernel: KernelSpec, data: PointSet, values, lam: float) -> FittedMo
     numerically indefinite anyway, fall back to the pseudo-inverse and
     record that in the diagnostics.
     """
+    # Imported here, its only use, so ``import sphfit`` loads no scipy.
+    import scipy.linalg
+
     y = _check_values(values, len(data))
     lam = float(lam)
     if not (np.isfinite(lam) and lam > 0):

@@ -23,3 +23,14 @@ def rng():
 def random_unit_points(rng, n):
     pts = rng.standard_normal((n, 3))
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+def wendland_psi(u) -> np.ndarray | float:
+    """Compactly supported Wendland profile ``(1-u)_+^8 (32u^3+25u^2+8u+1)``:
+    the profile oracle of the kernel and target tests."""
+    u_arr = np.asarray(u, dtype=float)
+    if np.any(u_arr < 0.0):
+        raise ValueError("profile argument is a distance, must be >= 0")
+    base = np.maximum(1.0 - u_arr, 0.0)
+    out = base**8 * (32 * u_arr**3 + 25 * u_arr**2 + 8 * u_arr + 1)
+    return float(out) if np.isscalar(u) or u_arr.ndim == 0 else out

@@ -329,6 +329,30 @@ class TestSimulate:
         assert rc == 3
 
 
+@pytest.mark.parametrize("line", ["deltas = 0.1, 0.1", "s_stars = 5, 5"])
+def test_simulate_repeated_cell_exits_2(tmp_path, capsys, line):
+    section = "noise" if line.startswith("deltas") else "sketch"
+    ini = tmp_path / "repeat.ini"
+    ini.write_text(f"[experiment]\nt = 9\n[{section}]\n{line}\n")
+    rc = main(["simulate", "--sim", "1", "--config", str(ini),
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    assert "repeats a value" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "sim1.csv").exists()
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported by fit_full alone, so design verification and the
+    # sketched fits start without it
+    src = str(Path(sphfit.__file__).resolve().parent.parent)
+    code = "import sys, sphfit, sphfit.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
 def test_simulate_identical_across_blas_thread_counts(tmp_path):
     # The acceptance determinism config, run once per OpenBLAS thread count.
     ini = tmp_path / "repeat.ini"

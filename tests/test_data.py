@@ -7,11 +7,11 @@ from sphfit.data import (Dataset, NoiseModel, TargetFunction,
                          default_f2_centers, franke_f1, load_dataset,
                          make_dataset, rmse, sample_truncated_gaussian,
                          save_dataset, wendland_target_f2)
-from sphfit.kernels import KernelSpec, wendland_psi
+from sphfit.kernels import KernelSpec
 from sphfit.points import PointSet, generate_spiral
 from sphfit.solver import fit_sketched
 
-from conftest import random_unit_points
+from conftest import random_unit_points, wendland_psi
 
 
 def franke_scalar(x, y, z, exp=math.exp):

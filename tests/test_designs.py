@@ -6,7 +6,7 @@ import pytest
 
 from sphfit.designs import (DesignNotFoundError, available_degrees,
                             design_path, load_design)
-from sphfit.legendre import design_residual, verify_design
+from sphfit.legendre import verify_design
 
 # degree -> node count for the bundled symmetric designs
 EXPECTED_COUNTS = {1: 2, 5: 12, 9: 48, 13: 94, 17: 156, 21: 234,
@@ -72,9 +72,9 @@ class TestIntegrity:
     def test_small_designs_verify_to_degree(self, t):
         assert verify_design(load_design(t), t_max=t).max_verified_degree == t
 
-    def test_largest_design_spot_residuals(self):
-        # full verification of t=57 is covered by the acceptance suite;
-        # spot-check a few degrees here
-        ps = load_design(57)
-        for k in (1, 2, 57):
-            assert design_residual(ps, k) <= 1e-8
+    @pytest.mark.parametrize("t", available_degrees())
+    def test_every_design_verifies_to_exactly_its_degree(self, t):
+        # symmetric designs integrate every odd degree, so the sweep through
+        # t + 2 stops at the even degree t + 1
+        report = verify_design(load_design(t), t_max=t + 2)
+        assert report.max_verified_degree == t

@@ -314,6 +314,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="finite"):
             ExperimentConfig(**override)
 
+    @pytest.mark.parametrize("override, name", [
+        (dict(deltas=(0.1, 0.5, 0.1)), "deltas"), (dict(s_stars=(5, 5)), "s_stars")])
+    def test_rejects_repeated_cells(self, override, name):
+        with pytest.raises(ConfigError, match=f"{name} repeats"):
+            ExperimentConfig(**override)
+
     def test_parse_minimal(self, tmp_path):
         f = tmp_path / "min.ini"
         f.write_text("[experiment]\ntarget = f2\n")

@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 
 from sphfit import kernels
 from sphfit.kernels import (KernelSpec, MatrixSizeError, cross_matrix, gram,
-                            wendland_psi, zonal_value)
+                            zonal_value)
 from sphfit.points import PointSet
 
-from conftest import random_unit_points
+from conftest import random_unit_points, wendland_psi
 
 
 class TestWendlandPsi:
+    """The profile oracle, and the library's profile and kernel against it."""
+
     def test_support_and_endpoints(self):
         assert wendland_psi(0.0) == pytest.approx(1.0)
         assert wendland_psi(1.0) == 0.0
@@ -27,7 +29,7 @@ class TestWendlandPsi:
     def test_matches_polynomial_expansion(self, rng):
         u = rng.uniform(0, 1, size=500)
         expect = (1 - u) ** 8 * (32 * u**3 + 25 * u**2 + 8 * u + 1)
-        assert np.allclose(wendland_psi(u), expect, atol=1e-15)
+        assert np.allclose(kernels._wendland_profile(u), expect, atol=1e-15)
 
     def test_monotone_decreasing_on_support(self):
         u = np.linspace(0, 1, 1001)
@@ -37,6 +39,11 @@ class TestWendlandPsi:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             wendland_psi(-0.1)
+
+    def test_kernel_is_profile_of_chordal_distance(self, rng):
+        dot = rng.uniform(-1, 1, size=500)
+        expect = wendland_psi(np.sqrt(2 - 2 * dot))
+        assert np.allclose(zonal_value(KernelSpec.wendland(), dot), expect, atol=1e-15)
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(min_value=0.0, max_value=3.0, allow_nan=False))

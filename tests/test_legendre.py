@@ -3,12 +3,56 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphfit import legendre
-from sphfit.legendre import (DesignReport, design_residual, legendre_p,
-                             verify_design)
+from sphfit import legendre, load_design, points
+from sphfit.legendre import harmonic_residuals, verify_design
 from sphfit.points import PointSet, generate_spiral
 
 from conftest import random_unit_points
+
+
+# The O(N^2 t) oracle: residuals as the double sum of P_k(x_i . x_j) over
+# all pairs, with P_k from the three-term recurrence.
+
+def _legendre_series(u, k_max: int):
+    """Yield P_1(u), ..., P_{k_max}(u) by the three-term recurrence
+    ``(k+1) P_{k+1} = (2k+1) u P_k - k P_{k-1}``; stable on [-1, 1].
+    """
+    pkm1, pk = 1.0, u
+    for k in range(k_max):
+        if k:
+            pkm1, pk = pk, ((2 * k + 1) * u * pk - k * pkm1) / (k + 1)
+        yield pk
+
+
+def legendre_p(k: int, u) -> np.ndarray | float:
+    """Legendre polynomial P_k(u), normalized so P_k(1) = 1; `u` may
+    exceed [-1, 1] by at most 1e-12 (clamped)."""
+    if k < 0:
+        raise ValueError("degree must be nonnegative")
+    u_arr = np.asarray(u, dtype=float)
+    if np.any(np.abs(u_arr) > 1.0 + 1e-12):
+        raise ValueError("argument outside [-1, 1] beyond clamp tolerance")
+    u_arr = np.atleast_1d(np.clip(u_arr, -1.0, 1.0))
+    out = np.ones_like(u_arr)
+    for out in _legendre_series(u_arr, k):
+        pass
+    return float(out[0]) if np.ndim(u) == 0 else out
+
+
+def _residual_sweep(xyz: np.ndarray, k_max: int) -> np.ndarray:
+    """``(1/N^2) sum_ij P_k(x_i . x_j)`` for k = 1..k_max, in 512-row blocks."""
+    n = len(xyz)
+    sums = np.zeros(k_max)
+    for lo in range(0, n, 512):
+        u = np.clip(xyz[lo:lo + 512] @ xyz.T, -1.0, 1.0)
+        for k, pk in enumerate(_legendre_series(u, k_max)):
+            sums[k] += pk.sum()
+    return sums / n**2
+
+
+def design_residual(point_set: PointSet, k: int) -> float:
+    """Double-sum residual at degree `k`, cancellation noise clamped to 0."""
+    return max(float(_residual_sweep(point_set.xyz, k)[k - 1]), 0.0)
 
 
 class TestLegendreP:
@@ -97,13 +141,69 @@ class TestDesignResidual:
         assert design_residual(spiral, 2) > 1e-6
 
     def test_blockwise_matches_direct(self, rng, monkeypatch):
-        # 7-row blocks: the 30 points span four full blocks and a ragged one
-        monkeypatch.setattr(legendre, "RESIDUAL_ROW_BLOCK", 7)
+        # a budget of a few points per block: the 30 points span several
+        # full blocks and a ragged last one
+        monkeypatch.setattr(points, "BLOCK_BYTES", 2400)
+        sizes = []
+
+        def spy(n_rows, n_cols):
+            for rows in points._row_blocks(n_rows, n_cols):
+                sizes.append(len(range(n_rows)[rows]))
+                yield rows
+
+        monkeypatch.setattr(legendre, "_row_blocks", spy)
         ps = PointSet(random_unit_points(rng, 30))
+        blockwise = harmonic_residuals(ps.xyz, 5)
+        assert len(sizes) > 2 and sizes[-1] < sizes[0]
         dots = np.clip(ps.xyz @ ps.xyz.T, -1, 1)
         for k in range(1, 6):
             direct = float(np.mean(legendre_p(k, dots)))
-            assert design_residual(ps, k) == pytest.approx(max(direct, 0.0), abs=1e-14)
+            assert blockwise[k - 1] == pytest.approx(direct, abs=1e-14)
+
+
+class TestHarmonicResiduals:
+    """The O(N t^2) harmonic sums against the O(N^2 t) double sum."""
+
+    @staticmethod
+    def _agree(xyz, k_max):
+        fast = harmonic_residuals(xyz, k_max)
+        assert fast.shape == (k_max,)
+        assert np.all(fast >= 0.0)
+        np.testing.assert_allclose(fast, _residual_sweep(xyz, k_max), rtol=0, atol=1e-14)
+        return fast
+
+    @pytest.mark.parametrize("t", [13, 57])
+    def test_bundled_designs(self, t):
+        self._agree(load_design(t).xyz, t)
+
+    def test_spiral_at_degree_57(self):
+        self._agree(generate_spiral(1656).xyz, 57)
+
+    @pytest.mark.parametrize("n", [5, 40])
+    def test_random_sets(self, rng, n):
+        # Through degree 12: on a few points the double sum's own rounding
+        # grows with the degree (about 5e-14 at k = 57 for 5 points, where
+        # the harmonic sums stay within 1e-15 of a 40-digit reference).
+        self._agree(random_unit_points(rng, n), 12)
+
+    def test_point_at_each_pole(self, rng):
+        # x + iy = 0 at the poles: every m >= 1 harmonic vanishes there
+        poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+        self._agree(np.vstack([poles, random_unit_points(rng, 10)]), 12)
+
+    def test_single_point_is_one_at_every_degree(self):
+        fast = self._agree(np.array([[0.6, 0.0, 0.8]]), 20)
+        np.testing.assert_allclose(fast, 1.0, rtol=0, atol=1e-14)
+
+    def test_antipodal_pair(self):
+        fast = self._agree(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]), 8)
+        assert np.array_equal(fast, np.tile([0.0, 1.0], 4))
+
+    def test_rotation_invariant(self, design13, rng):
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        np.testing.assert_allclose(harmonic_residuals(design13.xyz @ q.T, 15),
+                                   harmonic_residuals(design13.xyz, 15),
+                                   rtol=1e-12, atol=1e-15)
 
 
 class TestVerifyDesign:

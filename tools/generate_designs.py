@@ -14,9 +14,11 @@ Analytic Jacobian in colatitude/azimuth coordinates.  Retries with jittered
 starts; for non-tabulated degrees the point count may be bumped by 2 if no
 configuration converges.
 
-Solutions are verified independently through the Legendre double sum
-r_k = (1/N^2) sum_{i,j} P_k(x_i . x_j) before anything is written, using
-the library's blockwise sweep (O(512 N) memory) from ``src/``.
+Solutions are verified independently before anything is written, through
+the residuals r_k = (1/N^2) sum_{i,j} P_k(x_i . x_j) of every degree k <= t.
+The library's ``harmonic_residuals`` (from ``src/``) computes them as sums of
+squared harmonic sums, in O(N t^2) time and within a fixed memory budget,
+by its own recurrence rather than the scipy functions the solve uses.
 
 Usage:  python3 tools/generate_designs.py [--degrees 1,3,...,57] [--out DIR]
 
@@ -36,7 +38,7 @@ from scipy.special import sph_legendre_p_all
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
-from sphfit.legendre import _residual_sweep as legendre_residuals  # noqa: E402
+from sphfit.legendre import harmonic_residuals  # noqa: E402
 from sphfit.points import PointSet, _write_rows, save_point_file  # noqa: E402
 
 DEFAULT_OUT = SRC / "sphfit" / "data" / "designs"
@@ -134,7 +136,7 @@ def params_to_points(params):
 def solve_degree(t):
     exact = exact_small_design(t)
     if exact is not None:
-        worst = legendre_residuals(exact, t).max()
+        worst = harmonic_residuals(exact, t).max()
         assert worst < 1e-12, (t, worst)
         return exact, worst
     n_total = point_count(t)
@@ -148,7 +150,7 @@ def solve_degree(t):
             xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=3000,
         )
         pts = params_to_points(sol.x)
-        return sol.x, pts, legendre_residuals(pts, t).max()
+        return sol.x, pts, harmonic_residuals(pts, t).max()
 
     for bump in range(MAX_BUMPS + 1):
         for seed in range(MAX_SEEDS):
@@ -208,7 +210,7 @@ def main():
         t0 = time.time()
         pts, worst = solve_degree(t)
         pts = canonical_order(pts)
-        worst = legendre_residuals(pts, t).max()
+        worst = harmonic_residuals(pts, t).max()
         path = write_design(args.out, t, pts, worst)
         print(f"t={t:3d} N={len(pts):5d} residual={worst:.3e} -> {path.name}"
               f" ({time.time() - t0:.1f}s)", flush=True)
