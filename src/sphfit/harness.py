@@ -209,7 +209,8 @@ def grid_search_multi(datasets: list[Dataset], test: tuple[PointSet, np.ndarray]
     :func:`fit_sketched_sweep` per sigma, so each lambda's decomposition is
     computed once for all of them, and their models are scored from one
     test kernel matrix.  Each row is the one :func:`grid_search` gives for
-    its dataset alone.
+    its dataset alone, but for GEMM rounding: an RMSE may differ at about
+    1e-14 relative, and so may a choice between cells that close.
     """
     return [row for row, _ in _search(datasets, test, method, grid, s_star)]
 

@@ -245,11 +245,12 @@ def predict(model: FittedModel, points: PointSet) -> np.ndarray:
 def predict_sweep(models: list[FittedModel], points: PointSet) -> list[np.ndarray]:
     """Evaluate several models that share one kernel and one center set.
 
-    Each block of the test kernel matrix is built once and applied to every
-    model's coefficients, so each returned array equals :func:`predict` of
-    that model bit for bit.  The models must share the first one's
-    ``kernel`` (by value) and ``centers`` (the same object, as
-    :func:`fit_sketched_multi` returns them).
+    Each block ``K`` of the test kernel matrix is built once and scores all
+    the models in one GEMM, so each returned row is within
+    ``4 * m * eps * (|K| @ |alpha|)`` entrywise of ``K @ alpha`` for its
+    model alone (m centers), also when models are added or reordered.  The
+    models must share the first one's ``kernel`` (by value) and ``centers``
+    (the same object, as :func:`fit_sketched_sweep` returns them).
     """
     if not models:
         raise ValueError("predict_sweep needs at least one model")
@@ -258,15 +259,16 @@ def predict_sweep(models: list[FittedModel], points: PointSet) -> list[np.ndarra
         raise ValueError("predict_sweep models must share one kernel and one center set")
     xyz = points.xyz
     cx = centers.xyz
+    coef = np.array([m.coefficients for m in models])
     parts = []
     for rows in _row_blocks(len(points), len(centers)):
         block = zonal_value(kernel, xyz[rows] @ cx.T)
         # Outputs are allocated only after the block's temporaries are freed,
         # and the block is dropped before the next one is built: peak memory
-        # is one block plus the outputs.
-        parts.append([block @ m.coefficients for m in models])
+        # is one block plus the outputs.  block.T is a view: one dgemm, no copy.
+        parts.append(coef @ block.T)
         del block
-    return [np.concatenate(rows) for rows in zip(*parts)]
+    return list(np.concatenate(parts, axis=1))
 
 
 MODEL_MAGIC = "sphfit-model v1"

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from sphfit.data import NoiseModel, TargetFunction, make_dataset
 from sphfit.designs import load_design
 from sphfit.harness import GridSpec, SketchMethod, select_sketch
 from sphfit.kernels import KernelSpec, cross_matrix, gram, zonal_value
-from sphfit.points import PointSet
+from sphfit.points import PointSet, generate_spiral
 import sphfit.points as points_mod
 import sphfit.solver as solver_mod
 from sphfit.solver import (WHITENED_COND_LIMIT, FittedModel, fit_full,
@@ -144,7 +145,7 @@ class TestSolutionProperties:
 
 
 def single_model_block_loop(model: FittedModel, points: PointSet) -> np.ndarray:
-    """The one-model-at-a-time block loop that predict_sweep replaced."""
+    """The GEMV oracle for predict_sweep: one model at a time, block by block."""
     xyz = points.xyz
     cx = model.centers.xyz
     rows_per_block = max(1, points_mod.BLOCK_BYTES // (8 * max(len(model.centers), 1)))
@@ -153,6 +154,28 @@ def single_model_block_loop(model: FittedModel, points: PointSet) -> np.ndarray:
         hi = min(lo + rows_per_block, len(points))
         out[lo:hi] = zonal_value(model.kernel, xyz[lo:hi] @ cx.T) @ model.coefficients
     return out
+
+
+def assert_within_gemm_bound(got, expect, model, points):
+    """Two evaluations of ``K @ alpha`` that sum in different orders: each is
+    within ``gamma_m |K| @ |alpha|`` of the exact product, gamma_m =
+    m eps / (1 - m eps) for m centers, so they differ entrywise by at most
+    2 gamma_m <= 4 m eps times ``|K| @ |alpha|``."""
+    k = zonal_value(model.kernel, points.xyz @ model.centers.xyz.T)
+    scale = np.abs(k) @ np.abs(model.coefficients)
+    bound = 4 * len(model.centers) * np.finfo(float).eps * scale
+    assert np.all(np.abs(got - expect) <= bound)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that ``fn()`` allocates, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 class TestPredict:
@@ -184,8 +207,8 @@ class TestPredict:
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=["gaussian", "wendland"])
     @pytest.mark.parametrize("block_rows", [None, 150], ids=["one-block", "ragged-blocks"])
-    def test_sweep_bitwise_matches_single_model_loop(self, design17, kernel, block_rows,
-                                                     monkeypatch):
+    def test_sweep_matches_single_model_loop_oracle(self, design17, kernel, block_rows,
+                                                    monkeypatch):
         n_probe = 500
         if block_rows is not None:
             # 3 full blocks of 150 rows and a ragged last one of 50
@@ -198,9 +221,50 @@ class TestPredict:
         rows = predict_sweep(models, probe)
         assert len(rows) == len(models)
         for model, row in zip(models, rows):
-            expect = single_model_block_loop(model, probe)
-            assert np.array_equal(row, expect)
-            assert np.array_equal(predict(model, probe), expect)
+            assert row.flags.c_contiguous
+            assert_within_gemm_bound(row, single_model_block_loop(model, probe), model, probe)
+            # predict is the one-model sweep, bit for bit
+            assert np.array_equal(predict(model, probe), predict_sweep([model], probe)[0])
+
+    def test_sweep_oracle_bound_holds_for_large_coefficients(self, design13):
+        # f1's Gaussian at sigma = 1 on the first 20 training points is badly
+        # conditioned: at lam = 1e-6 the coefficients reach about 1e3, and the
+        # GEMM and the GEMV differ by about 5e-13 absolute.
+        data = make_dataset(design13, TargetFunction.by_name("f1"), NoiseModel(0.01, seed=7))
+        centers = select_sketch(SketchMethod.first(20), design13)
+        models = fit_sketched_multi(KernelSpec.gaussian(1.0), design13, data.labels,
+                                    centers, [1e-2, 1e-4, 1e-6, 1e-8])
+        large = models[2]
+        assert large.lam == 1e-6 and np.abs(large.coefficients).max() > 1e3
+        probe = PointSet(random_unit_points(np.random.default_rng(8), 300))
+        for model, row in zip(models, predict_sweep(models, probe)):
+            assert_within_gemm_bound(row, single_model_block_loop(model, probe), model, probe)
+
+    def test_reordering_or_subsetting_models_stays_within_bound(self, design17):
+        models = fit_sketched_multi(KernelSpec.gaussian(0.5), design17,
+                                    smooth_values(design17), design17,
+                                    [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
+        probe = PointSet(random_unit_points(np.random.default_rng(6), 400))
+        full = predict_sweep(models, probe)
+        for order in ([6, 5, 4, 3, 2, 1, 0], [3, 0, 5], [4]):
+            rows = predict_sweep([models[i] for i in order], probe)
+            for i, row in zip(order, rows):
+                assert_within_gemm_bound(row, full[i], models[i], probe)
+
+    def test_sweep_peak_memory_is_one_block_plus_coefficients(self):
+        # sim1's s* = 25 scoring step: 2 noise levels x 57 lambdas on the
+        # 10000-point test spiral, one test block of 10000 x 328
+        centers = load_design(25)
+        probe = generate_spiral(10000)
+        assert 8 * len(probe) * len(centers) <= points_mod.BLOCK_BYTES
+        kernel = KernelSpec.wendland()
+        coefs = np.random.default_rng(9).standard_normal((114, len(centers)))
+        models = [FittedModel(kernel, centers, c, 1e-3, 1000, None) for c in coefs]
+        block_peak = traced_peak(lambda: zonal_value(kernel, probe.xyz @ centers.xyz.T))
+        sweep_peak = traced_peak(lambda: predict_sweep(models, probe))
+        # the outputs (114 x 10000 doubles, 8.7 MiB) must not coexist with
+        # the block's kernel temporaries
+        assert sweep_peak <= block_peak + coefs.nbytes + 2**20
 
     def test_sweep_rejects_empty_model_list(self):
         with pytest.raises(ValueError, match="at least one model"):
