@@ -7,15 +7,18 @@ fitted to data (x_i, y_i), i = 1..N, by minimizing
 
 Restricting the representer expansion to C gives the m x m normal equations
 
-    (Knm^T Knm + lam * N * Kmm) alpha = Knm^T y ,
+    (Knm^T Knm + lam * N * Kmm) alpha = Knm^T y .
 
-solved through a symmetric eigendecomposition pseudo-inverse so that rank
-deficiency (tiny lam, clustered centers) degrades gracefully instead of
-blowing up.  A sweep over several lams decomposes the whitened system once
-and solves every well-conditioned lam from it (Nystrom kernel ridge
-regression, Rudi, Camoriano & Rosasco 2015); the other lams keep their own
-pseudo-inverse.  ``fit_full`` covers the classical m = N case through the
-equivalent system (K + lam * N * I) alpha = y.
+A sweep over several lams decomposes the whitened system once and solves
+every well-conditioned lam from it (Nystrom kernel ridge regression, Rudi,
+Camoriano & Rosasco 2015).  Any other lam, and a single-lam fit, is solved
+by its own Cholesky factor when a rigorous bound on its condition number
+proves that the pseudo-inverse below would drop no eigenvalue, so both give
+the same estimator.  The rest go through a symmetric eigendecomposition
+pseudo-inverse, so that rank deficiency (tiny lam, clustered or duplicate
+centers) degrades gracefully instead of blowing up.  ``fit_full`` covers
+the classical m = N case through the equivalent system
+(K + lam * N * I) alpha = y.
 """
 
 from __future__ import annotations
@@ -32,8 +35,23 @@ from .points import (PointFileError, PointSet, _data_lines, _number, _read_rows,
 # Largest bound on cond_2(Knm^T Knm + lam*N*Kmm) for which a sweep solves lam
 # in the whitened basis.  Far below 1 / (m * eps), so an admitted lam is one
 # whose pseudo-inverse would drop no eigenvalue: both paths compute the same
-# estimator and differ only by rounding, about eps * 1e8 relative.
+# estimator and differ only by rounding, within m * eps * 1e8 relative (1e-6
+# at m = 48, the golden tests' tolerance).  The limit stays this strict rather
+# than rising to the Cholesky arm's: that would let the shared basis serve
+# lams whose rounding gap grows toward 1e-2, while a lam it rejects now costs
+# one Cholesky factorization, not an eigendecomposition.
 WHITENED_COND_LIMIT = 1e8
+
+# A lam the whitening does not serve is solved by its own Cholesky factor when
+# kappa >= cond_2(A) of its system A is at most 1 / (CHOLESKY_MARGIN * m * eps).
+# Then lambda_min(A) >= lambda_max(A) / kappa >= 100 * m * eps * lambda_max(A),
+# 100 times above the cutoff of _eig_decompose: the pseudo-inverse would drop
+# no eigenvalue, so both solve the same nonsingular system and give the same
+# estimator up to rounding, about m * eps * cond_2(A) relative.
+CHOLESKY_MARGIN = 100
+
+# Largest diagonal block that _lower_inverse hands to np.linalg.inv.
+TRI_INV_LEAF = 256
 
 
 @dataclass(frozen=True)
@@ -87,23 +105,63 @@ def _eig_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return w[keep], v[:, keep], threshold
 
 
+def _lower_inverse(l: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse X of a nonsingular lower-triangular matrix L, with exact zeros
+    above the diagonal and a right residual ``|X L - I|`` within
+    ``m * eps * (|X| @ |L|)`` entrywise.
+
+    2 x 2 block recursion, each block written into ``out`` (a fresh array at
+    the top call).  The off-diagonal block solves ``X21 L11 = -(X22 L21)`` by
+    ``np.linalg.solve`` on the upper-triangular ``L11^T``; diagonal blocks of
+    at most ``TRI_INV_LEAF`` rows are inverted the same way, ``inv(L^T)^T``.
+    An upper-triangular matrix needs no row exchange, so numpy's LU of it is
+    exact and the solve is a backward-stable back substitution.  numpy has no
+    triangular solve of its own: ``np.linalg.inv(L)`` exchanges rows of a
+    lower-triangular L and ``X21 = -X22 (L21 X11)`` multiplies by the
+    computed X11, and on an ill-conditioned factor either one is orders of
+    magnitude less accurate.
+    """
+    x = np.zeros_like(l) if out is None else out
+    m = len(l)
+    if m <= TRI_INV_LEAF:
+        x[:] = np.linalg.inv(l.T).T
+        return x
+    h = m // 2
+    _lower_inverse(l[:h, :h], x[:h, :h])
+    _lower_inverse(l[h:, h:], x[h:, h:])
+    x[h:, :h] = np.linalg.solve(l[:h, :h].T, -(x[h:, h:] @ l[h:, :h]).T).T
+    return x
+
+
+def _cholesky_inverse(a: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """``(L^-1, kappa)`` for ``a = L L^T``, or ``(None, inf)`` if the
+    factorization fails.
+
+    ``kappa = |a|_1 |L^-1|_1 |L^-1|_inf`` bounds cond_2(a) from above, since
+    ``|a^-1|_2 = |L^-1|_2^2 <= |L^-1|_1 |L^-1|_inf`` and ``|a|_2 <= |a|_1``
+    for symmetric a.  numpy.linalg only: scipy's separately built BLAS would
+    contend with numpy's for the same cores.
+    """
+    try:
+        l_inv = _lower_inverse(np.linalg.cholesky(a))
+    except np.linalg.LinAlgError:
+        return None, np.inf
+    kappa = float(np.linalg.norm(a, 1) * np.linalg.norm(l_inv, 1)
+                  * np.linalg.norm(l_inv, np.inf))
+    return l_inv, kappa
+
+
 def _whiten(gtg: np.ndarray, kmm: np.ndarray):
     """One decomposition that solves ``(gtg + s * kmm) alpha = b`` for every shift s.
 
     Factors ``kmm = L L^T`` and decomposes ``C = L^-1 gtg L^-T = Q D Q^T``;
     then ``alpha = P (P^T b) / (D + s)`` with ``P = L^-T Q``.  Returns
-    (D ascending, P, kappa), where ``kappa = |kmm|_1 |L^-1|_1 |L^-1|_inf``
-    bounds cond_2(kmm), or None when the Cholesky factorization or the
-    eigendecomposition fails or kappa alone exceeds the limit (then no
-    shift is admitted).  numpy.linalg only: scipy's separately built BLAS
-    would contend with numpy's for the same cores.
+    (D ascending, P, kappa), where kappa bounds cond_2(kmm)
+    (:func:`_cholesky_inverse`), or None when the Cholesky factorization or
+    the eigendecomposition fails or kappa alone exceeds the limit (then no
+    shift is admitted).
     """
-    try:
-        l_inv = np.linalg.inv(np.linalg.cholesky(kmm))
-    except np.linalg.LinAlgError:
-        return None
-    kappa = float(np.linalg.norm(kmm, 1) * np.linalg.norm(l_inv, 1)
-                  * np.linalg.norm(l_inv, np.inf))
+    l_inv, kappa = _cholesky_inverse(kmm)
     if not kappa <= WHITENED_COND_LIMIT:
         return None
     try:
@@ -135,16 +193,21 @@ def fit_sketched_sweep(kernel: KernelSpec, data: PointSet, label_sets,
     that does not depend on the labels.
 
     The kernel matrices, ``Knm^T Knm`` and every ``b = Knm^T y`` are built
-    once.  Each lam is solved as ``alpha = V (c / w)`` from eigenpairs
-    ``(w, V)`` of its system and each label set's coordinates ``c = V^T b``.
+    once.  Each lam is solved as ``alpha = V (c / w)`` from a factorization
+    ``(w, V)`` of its system ``A`` and each label set's coordinates ``c``.
     With more than one lam, the system is whitened by ``Kmm`` and
     decomposed once (:func:`_whiten`); a lam whose condition bound is within
     ``WHITENED_COND_LIMIT`` takes ``(D + lam*N, P, P^T b)`` from it (method
-    ``"whitened-eig"``).  Every other lam, and a sweep of one lam, takes the
-    kept eigenpairs of its own system (``"eig-pinv"``), bitwise what a
-    separate :func:`fit_sketched` call gives.  Returns one list of models
-    per label set, in ``lams`` order.  Each ``wall_time`` is the whole
-    assembly, the whole decomposition its lam used and its own solve.
+    ``"whitened-eig"``).  Every other lam, and a sweep of one lam, factors
+    its own ``A = L L^T`` (:func:`_cholesky_inverse`) and takes
+    ``(1, L^-T, L^-1 b)`` (``"cholesky"``) when the bound kappa on
+    ``cond_2(A)`` is at most ``1 / (CHOLESKY_MARGIN * m * eps)``; failing
+    that, the kept eigenpairs of ``A`` and ``c = V^T b`` (``"eig-pinv"``).
+    Such a lam is solved bit for bit as a separate :func:`fit_sketched`
+    call solves it.  Returns one list of models per label set, in ``lams``
+    order.  Each ``wall_time`` is the whole assembly, the whole
+    decomposition its lam used (a rejected Cholesky attempt included) and
+    its own solve.
     """
     n = len(data)
     ys = [_check_values(values, n) for values in label_sets]
@@ -168,6 +231,8 @@ def fit_sketched_sweep(kernel: KernelSpec, data: PointSet, label_sets,
         projected = [p.T @ b for b in rhs]
     whitening = time.perf_counter() - t0
 
+    m = len(centers)
+    cholesky_limit = 1.0 / (CHOLESKY_MARGIN * m * np.finfo(float).eps)
     models: list[list[FittedModel]] = [[] for _ in ys]
     for lam in lams:
         shift = lam * n
@@ -176,8 +241,14 @@ def fit_sketched_sweep(kernel: KernelSpec, data: PointSet, label_sets,
             decompose = whitening
         else:
             t0 = time.perf_counter()
-            w, v, threshold = _eig_decompose(gtg + shift * kmm)
-            method, coords = "eig-pinv", [v.T @ b for b in rhs]
+            a = gtg + shift * kmm
+            l_inv, own_kappa = _cholesky_inverse(a)
+            if own_kappa <= cholesky_limit:
+                method, w, v, threshold = "cholesky", np.ones(m), l_inv.T, 0.0
+                coords = [l_inv @ b for b in rhs]
+            else:
+                w, v, threshold = _eig_decompose(a)
+                method, coords = "eig-pinv", [v.T @ b for b in rhs]
             decompose = time.perf_counter() - t0
         for b, c, out in zip(rhs, coords, models):
             t0 = time.perf_counter()

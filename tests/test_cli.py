@@ -343,9 +343,19 @@ def test_simulate_repeated_cell_exits_2(tmp_path, capsys, line):
 
 def test_import_loads_no_scipy():
     # scipy is imported by fit_full alone, so design verification and the
-    # sketched fits start without it
+    # sketched fits start without it: a one-lam fit (its own Cholesky arm)
+    # and a two-lam sweep (the whitened arm) load none either
     src = str(Path(sphfit.__file__).resolve().parent.parent)
-    code = "import sys, sphfit, sphfit.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    code = (
+        "import sys, numpy as np, sphfit, sphfit.cli\n"
+        "from sphfit import KernelSpec, load_design\n"
+        "from sphfit.solver import fit_sketched, fit_sketched_sweep\n"
+        "data = load_design(13); centers = data.take(np.arange(40)); y = data.xyz[:, 2]\n"
+        "one = fit_sketched(KernelSpec.wendland(), data, y, centers, 1e-3)\n"
+        "two = fit_sketched_sweep(KernelSpec.wendland(), data, [y], centers, [1e-3, 1e-4])[0]\n"
+        "assert [m.diagnostics.method for m in (one, *two)] == "
+        "['cholesky', 'whitened-eig', 'whitened-eig']\n"
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

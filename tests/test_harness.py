@@ -202,10 +202,11 @@ class TestGridSearch:
                           grid, s_star=13)
         assert row.lam == -best[1]
         assert row.sigma == -best[2]
-        # fit_sketched solves one lam by pseudo-inverse; the sweep may solve it
-        # in the whitened basis, which only its guard (cond_2 of the system
-        # <= WHITENED_COND_LIMIT) admits: for m = 10 centers the two agree to
-        # m * eps * WHITENED_COND_LIMIT relative (2.2e-7; 2e-13 is seen)
+        # fit_sketched solves one lam by its own Cholesky factor or
+        # pseudo-inverse; the sweep may solve it in the whitened basis, which
+        # only its guard (cond_2 of the system <= WHITENED_COND_LIMIT) admits:
+        # for m = 10 centers the two agree to m * eps * WHITENED_COND_LIMIT
+        # relative (2.2e-7; 2e-13 is seen)
         tol = 10 * np.finfo(float).eps * WHITENED_COND_LIMIT
         assert row.rmse == pytest.approx(best[0], rel=tol, abs=0.0)
 

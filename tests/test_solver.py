@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sphfit.data import NoiseModel, TargetFunction, make_dataset
@@ -15,9 +15,10 @@ from sphfit.kernels import KernelSpec, cross_matrix, gram, zonal_value
 from sphfit.points import PointSet, generate_spiral
 import sphfit.points as points_mod
 import sphfit.solver as solver_mod
-from sphfit.solver import (WHITENED_COND_LIMIT, FittedModel, fit_full,
-                           fit_sketched, fit_sketched_multi, fit_sketched_sweep,
-                           load_model, predict, predict_sweep, save_model)
+from sphfit.solver import (CHOLESKY_MARGIN, WHITENED_COND_LIMIT, FittedModel,
+                           fit_full, fit_sketched, fit_sketched_multi,
+                           fit_sketched_sweep, load_model, predict, predict_sweep,
+                           save_model)
 
 from conftest import random_unit_points
 
@@ -290,7 +291,8 @@ class TestPredict:
 
 def per_lambda_eigh_fit(kernel, data, y, centers, lams):
     """Slow reference: assemble and pseudo-invert one normal system per lam
-    with the operations the solver has always used; (coefficients, rank)."""
+    with the operations the solver has always used; (coefficients, rank,
+    eigenvalues of the system matrix) per lam."""
     knm = cross_matrix(kernel, data, centers)
     kmm = gram(kernel, centers)
     gtg, rhs = knm.T @ knm, knm.T @ y
@@ -300,45 +302,68 @@ def per_lambda_eigh_fit(kernel, data, y, centers, lams):
         keep = w > len(centers) * np.finfo(float).eps * max(float(w[-1]), 0.0)
         coef = (v[:, keep] @ ((v[:, keep].T @ rhs) / w[keep]) if keep.any()
                 else np.zeros(len(centers)))
-        out.append((coef, int(keep.sum())))
+        out.append((coef, int(keep.sum()), w))
     return out
 
 
-def assert_matches_oracle(model, coef, rank):
-    """Check one sweep model against per_lambda_eigh_fit's (coef, rank).
+def assert_matches_oracle(model, coef, rank, w):
+    """Check one sweep model against per_lambda_eigh_fit's (coef, rank, w).
 
-    A lam the guard rejects is solved as the oracle solves it, bit for bit.
-    An admitted lam has cond_2(A) <= WHITENED_COND_LIMIT for its system
-    matrix A, so the oracle keeps all m eigenvalues and both paths solve the
-    same nonsingular system: their solutions differ by rounding only, within
-    the first-order bound m * eps * WHITENED_COND_LIMIT relative (about 1e-6
-    at m = 48; the error seen is below 1e-9).
+    A lam that neither the whitening nor the Cholesky guard admits is solved
+    as the oracle solves it, bit for bit.  A whitened lam has cond_2(A) <=
+    WHITENED_COND_LIMIT for its system matrix A, so the oracle keeps all m
+    eigenvalues and both paths solve the same nonsingular system: their
+    solutions differ by rounding only, within the first-order bound
+    m * eps * WHITENED_COND_LIMIT relative (about 1e-6 at m = 48; the error
+    seen is below 1e-9).  A Cholesky lam has w_min > 100 * m * eps * w_max,
+    so the oracle again keeps every eigenvalue, and the backward-stable
+    Cholesky solve is within m * eps * cond_2(A) relative of it; for m < 8
+    the bound is 8 * eps * cond_2(A), since each side rounds by a few eps
+    however small m is (3.5 eps * cond_2(A) was seen at m = 2).
     """
-    m = len(coef)
-    if model.diagnostics.method == "eig-pinv":
+    m, eps = len(coef), np.finfo(float).eps
+    method = model.diagnostics.method
+    if method == "eig-pinv":
         assert np.array_equal(model.coefficients, coef)
         assert model.diagnostics.rank_used == rank
         return
-    assert model.diagnostics.method == "whitened-eig"
     assert model.diagnostics.rank_used == rank == m
-    tol = m * np.finfo(float).eps * WHITENED_COND_LIMIT
+    assert model.diagnostics.eigen_threshold == 0.0
+    if method == "whitened-eig":
+        tol = m * eps * WHITENED_COND_LIMIT
+    else:
+        assert method == "cholesky"
+        assert w[0] > CHOLESKY_MARGIN * m * eps * w[-1]
+        tol = max(m, 8) * eps * (w[-1] / w[0])
     assert np.linalg.norm(model.coefficients - coef) <= tol * np.linalg.norm(coef)
 
 
 class TestMultiFit:
     def test_multi_bitwise_matches_single(self, design13):
-        # A single-lam fit always takes the per-lam pseudo-inverse; the sweep
-        # matches it bit for bit on the lams its guard rejects and within the
-        # guard's tolerance on the ones it solves in the whitened basis.
+        # A single-lam fit never whitens; the sweep solves a lam that its
+        # whitening guard rejects exactly as the single fit does, bit for bit
+        # (Cholesky or pseudo-inverse), and every model matches the oracle.
+        # At sigma = 0.3 all three lams are whitened, and the single fits take
+        # Cholesky; at sigma = 1.0 none is whitened, and both sides take
+        # Cholesky at 1e-2 and the pseudo-inverse at 1e-5 and 1e-8.
         y = smooth_values(design13)
         centers = design13.take(np.arange(48))
         lams = [1e-2, 1e-5, 1e-8]
-        multi = fit_sketched_multi(KernelSpec.gaussian(0.3), design13, y, centers, lams)
-        for lam, model in zip(lams, multi):
-            single = fit_sketched(KernelSpec.gaussian(0.3), design13, y, centers, lam)
-            assert single.diagnostics.method == "eig-pinv"
-            assert_matches_oracle(model, single.coefficients, single.diagnostics.rank_used)
-            assert model.lam == single.lam
+        for sigma, arms in ((0.3, ["whitened-eig"] * 3 + ["cholesky"] * 3),
+                            (1.0, ["cholesky", "eig-pinv", "eig-pinv"] * 2)):
+            kernel = KernelSpec.gaussian(sigma)
+            multi = fit_sketched_multi(kernel, design13, y, centers, lams)
+            single = [fit_sketched(kernel, design13, y, centers, lam) for lam in lams]
+            assert [m.diagnostics.method for m in multi + single] == arms
+            oracle = per_lambda_eigh_fit(kernel, design13, y, centers, lams)
+            for model, alone, expect in zip(multi, single, oracle):
+                assert_matches_oracle(alone, *expect)
+                assert_matches_oracle(model, *expect)
+                if model.diagnostics.method != "whitened-eig":
+                    assert np.array_equal(model.coefficients, alone.coefficients)
+                    assert model.diagnostics == replace(
+                        alone.diagnostics, wall_time=model.diagnostics.wall_time)
+                assert model.lam == alone.lam
 
     def test_order_preserved(self, design13):
         y = smooth_values(design13)
@@ -367,12 +392,12 @@ class TestMultiFit:
             oracle = per_lambda_eigh_fit(kernel, design13, y, centers, lams)
             multi = fit_sketched_multi(kernel, design13, y, centers, lams)
             assert [m.lam for m in sweep] == lams
-            for model, ref, (coef, rank) in zip(sweep, multi, oracle):
+            for model, ref, expect in zip(sweep, multi, oracle):
                 assert model.centers is centers
                 assert np.array_equal(model.coefficients, ref.coefficients)
                 assert model.diagnostics == replace(ref.diagnostics,
                                                     wall_time=model.diagnostics.wall_time)
-                assert_matches_oracle(model, coef, rank)
+                assert_matches_oracle(model, *expect)
         if case == "duplicate-centers":
             # Kmm is singular: no whitening, every lam is the oracle's bit for bit
             assert all(m.diagnostics.method == "eig-pinv" for m in sweeps[0])
@@ -424,8 +449,8 @@ class TestMultiFit:
 class TestWhitenedGuard:
     def test_clustered_first_sketch_truncated_lams_rejected(self):
         # sim 2's polar-cluster sketch: at sigma = 1 every lam of the f1 grid
-        # is one the pseudo-inverse truncates, and whitening would change the
-        # estimator there; the other sigmas mix admitted and rejected lams.
+        # is one the pseudo-inverse truncates, and whitening or Cholesky would
+        # change the estimator there; the other sigmas mix all three arms.
         training = load_design(33)
         data = make_dataset(training, TargetFunction.by_name("f1"),
                             NoiseModel(0.1, seed=1234))
@@ -438,16 +463,16 @@ class TestWhitenedGuard:
                                        grid.lambdas)[0]
             oracle = per_lambda_eigh_fit(kernel, training, data.labels, centers,
                                          grid.lambdas)
-            for model, (coef, rank) in zip(sweep, oracle):
+            for model, (coef, rank, w) in zip(sweep, oracle):
                 if rank < len(centers):
                     truncated += 1
                     assert model.diagnostics.method == "eig-pinv"
-                assert_matches_oracle(model, coef, rank)
+                assert_matches_oracle(model, coef, rank, w)
                 methods.append(model.diagnostics.method)
             if sigma == 1.0:
-                assert all(rank < len(centers) for _, rank in oracle)
+                assert all(rank < len(centers) for _, rank, _ in oracle)
         assert truncated >= len(grid.lambdas)
-        assert {"eig-pinv", "whitened-eig"} <= set(methods)
+        assert set(methods) == {"eig-pinv", "whitened-eig", "cholesky"}
 
     def test_zero_lambda_rejected_when_centers_outnumber_sites(self, design13):
         # m = 156 > N = 94: Knm^T Knm is singular, so lam = 0 fails the guard
@@ -460,32 +485,51 @@ class TestWhitenedGuard:
         assert [m.diagnostics.method for m in sweep] == ["whitened-eig", "eig-pinv"]
         assert sweep[1].lam == 0.0
         assert oracle[1][1] < len(centers)
-        for model, (coef, rank) in zip(sweep, oracle):
-            assert_matches_oracle(model, coef, rank)
+        for model, expect in zip(sweep, oracle):
+            assert_matches_oracle(model, *expect)
 
-    def test_single_lambda_sweep_is_not_whitened(self, design13):
+    def test_single_lambda_sweep_takes_cholesky_not_whitening(self, design13):
+        # a lam that a two-lam sweep whitens is solved alone by its own
+        # Cholesky factor: alpha = L^-T (L^-1 b), with L^-1 from the solver's
+        # triangular inverse, bit for bit
         y = smooth_values(design13)
         centers = design13.take(np.arange(40))
         kernel = KernelSpec.wendland()
         pair = fit_sketched_multi(kernel, design13, y, centers, [1e-3, 1e-4])
         assert pair[0].diagnostics.method == "whitened-eig"
-        (coef, rank), = per_lambda_eigh_fit(kernel, design13, y, centers, [1e-3])
+        knm, kmm = cross_matrix(kernel, design13, centers), gram(kernel, centers)
+        l_inv = solver_mod._lower_inverse(np.linalg.cholesky(
+            knm.T @ knm + (1e-3 * len(design13)) * kmm))
+        direct = l_inv.T @ (l_inv @ (knm.T @ y))
+        expect, = per_lambda_eigh_fit(kernel, design13, y, centers, [1e-3])
         for model in (fit_sketched(kernel, design13, y, centers, 1e-3),
                       fit_sketched_sweep(kernel, design13, [y], centers, [1e-3])[0][0]):
-            assert model.diagnostics.method == "eig-pinv"
-            assert np.array_equal(model.coefficients, coef)
-            assert model.diagnostics.rank_used == rank
+            assert model.diagnostics.method == "cholesky"
+            assert np.array_equal(model.coefficients, direct)
+            assert_matches_oracle(model, *expect)
 
+    # The explicit examples reach every arm on every run, each checked against
+    # the arms it names: all three in one Gaussian sweep, Cholesky alone for a
+    # one-lam Wendland sweep, and lam = 0 with m = 156 > N = 94.  The drawn
+    # examples add random center subsets, kernels and one- to four-lam sweeps.
     @settings(max_examples=40, deadline=None)
     @given(subset_seed=st.integers(0, 2**32 - 1), m=st.integers(2, 156),
            sigma=st.one_of(st.none(), st.floats(0.1, 1.5)),
            exponents=st.lists(st.one_of(st.none(), st.floats(-10.0, 0.0)),
-                              min_size=2, max_size=4))
-    def test_both_branches_match_oracle(self, design13, design17, subset_seed, m,
-                                        sigma, exponents):
-        # centers: a random subset of the degree-17 design, up to m = 156 > N = 94
-        idx = np.sort(np.random.default_rng(subset_seed).choice(
-            len(design17), size=m, replace=False))
+                              min_size=1, max_size=4),
+           arms=st.none())
+    @example(subset_seed=None, m=54, sigma=0.6, exponents=[0.0, -3.0, -9.0],
+             arms=["whitened-eig", "cholesky", "eig-pinv"])
+    @example(subset_seed=None, m=40, sigma=None, exponents=[-3.0], arms=["cholesky"])
+    @example(subset_seed=None, m=156, sigma=None, exponents=[-2.0, None],
+             arms=["whitened-eig", "eig-pinv"])
+    def test_every_arm_matches_oracle(self, design13, design17, subset_seed, m,
+                                      sigma, exponents, arms):
+        # centers: a random subset of the degree-17 design, up to m = 156 > N = 94,
+        # or its first m points when subset_seed is None
+        idx = (np.arange(m) if subset_seed is None else np.sort(
+            np.random.default_rng(subset_seed).choice(len(design17), size=m,
+                                                      replace=False)))
         centers = design17.take(idx)
         kernel = KernelSpec.wendland() if sigma is None else KernelSpec.gaussian(sigma)
         lams = [0.0 if e is None else 10.0 ** e for e in exponents]
@@ -493,16 +537,89 @@ class TestWhitenedGuard:
         sweep = fit_sketched_multi(kernel, design13, y, centers, lams)
         oracle = per_lambda_eigh_fit(kernel, design13, y, centers, lams)
         knm, kmm = cross_matrix(kernel, design13, centers), gram(kernel, centers)
-        for model, (coef, rank) in zip(sweep, oracle):
-            assert_matches_oracle(model, coef, rank)
+        if arms is not None:
+            assert [model.diagnostics.method for model in sweep] == arms
+        for model, (coef, rank, w) in zip(sweep, oracle):
+            assert_matches_oracle(model, coef, rank, w)
             if model.diagnostics.method == "whitened-eig":
                 # the guard bounds the true condition number of the system
-                w = np.linalg.eigvalsh(knm.T @ knm + model.lam * len(design13) * kmm)
                 assert w[0] > 0 and w[-1] <= 1.01 * WHITENED_COND_LIMIT * w[0]
+            if model.diagnostics.method != "eig-pinv":
                 resid = knm.T @ (knm @ model.coefficients - y) + (
                     model.lam * len(design13)) * (kmm @ model.coefficients)
                 assert model.diagnostics.residual_norm == pytest.approx(
                     float(np.linalg.norm(resid)), abs=1e-9 * np.linalg.norm(knm.T @ y))
+
+
+def cholesky_limit(m: int) -> float:
+    return 1.0 / (CHOLESKY_MARGIN * m * np.finfo(float).eps)
+
+
+class TestCholeskyArm:
+    @pytest.mark.parametrize("m", [1, 2, 255, 256, 257, 513, 1031])
+    @pytest.mark.parametrize("matrix", ["random", "gaussian-gram"])
+    def test_lower_inverse_right_residual(self, m, matrix):
+        # leaf sizes, one block past the leaf, and two odd recursions; the
+        # Gaussian Gram of spiral points has cond_2(L) up to about 7e3
+        if matrix == "random":
+            g = np.random.default_rng(m).standard_normal((m, m))
+            a = g @ g.T / m + np.eye(m)
+        else:
+            sites = generate_spiral(max(m, 2)).take(np.arange(m))
+            a = gram(KernelSpec.gaussian(0.3), sites) + 1e-6 * np.eye(m)
+        l = np.linalg.cholesky(a)
+        x = solver_mod._lower_inverse(l)
+        assert np.all(np.triu(x, 1) == 0.0)
+        resid = np.abs(x @ l - np.eye(m))
+        assert np.all(resid <= m * np.finfo(float).eps * (np.abs(x) @ np.abs(l)))
+
+    def test_admission_boundary(self, design13):
+        # Gaussian sigma = 1 on the first 48 centers: kappa of the system
+        # crosses 1 / (100 m eps) between lam = 1e-5 and 1e-2.  Bisect to two
+        # lams under 1% apart, one on each side: the one inside takes
+        # Cholesky, the one outside the oracle's pseudo-inverse bit for bit.
+        kernel, centers = KernelSpec.gaussian(1.0), design13.take(np.arange(48))
+        y = smooth_values(design13)
+        knm, kmm = cross_matrix(kernel, design13, centers), gram(kernel, centers)
+        gtg, n, limit = knm.T @ knm, len(design13), cholesky_limit(len(centers))
+
+        def kappa(lam):
+            return solver_mod._cholesky_inverse(gtg + (lam * n) * kmm)[1]
+
+        lo, hi = 1e-5, 1e-2
+        assert kappa(lo) > limit >= kappa(hi)
+        while hi / lo > 1.01:
+            mid = float(np.sqrt(lo * hi))
+            lo, hi = (mid, hi) if kappa(mid) > limit else (lo, mid)
+        outside, inside = (fit_sketched(kernel, design13, y, centers, lam) for lam in (lo, hi))
+        assert outside.diagnostics.method == "eig-pinv"
+        assert inside.diagnostics.method == "cholesky"
+        for model, expect in zip((outside, inside),
+                                 per_lambda_eigh_fit(kernel, design13, y, centers, [lo, hi])):
+            assert_matches_oracle(model, *expect)
+
+    @pytest.mark.parametrize("case", ["duplicate-centers", "zero-lambda-m-above-n"])
+    def test_rank_deficient_system_takes_pseudo_inverse(self, design13, design17, case):
+        # the system is singular: its Cholesky factorization fails or kappa
+        # exceeds the limit, and every one-lam fit is the oracle's, bit for bit
+        kernel, y = KernelSpec.gaussian(0.3), smooth_values(design13)
+        if case == "duplicate-centers":
+            centers, lams = design13.take(np.r_[np.arange(20), np.arange(10)]), [1e-2, 1e-5, 1e-8]
+        else:
+            centers, lams = design17, [0.0]
+        knm, kmm = cross_matrix(kernel, design13, centers), gram(kernel, centers)
+        oracle = per_lambda_eigh_fit(kernel, design13, y, centers, lams)
+        for lam, expect in zip(lams, oracle):
+            _, kappa = solver_mod._cholesky_inverse(knm.T @ knm + (lam * len(design13)) * kmm)
+            assert kappa > cholesky_limit(len(centers))
+            model = fit_sketched(kernel, design13, y, centers, lam)
+            assert model.diagnostics.method == "eig-pinv"
+            assert model.diagnostics.rank_used == expect[1] < len(centers)
+            assert_matches_oracle(model, *expect)
+
+    def test_indefinite_matrix_is_not_factored(self):
+        a = np.array([[1.0, 2.0], [2.0, 1.0]])
+        assert solver_mod._cholesky_inverse(a) == (None, np.inf)
 
 
 class TestValidationAndDiagnostics:
@@ -535,8 +652,9 @@ class TestValidationAndDiagnostics:
         y = smooth_values(design13)
         model = fit_sketched(KernelSpec.gaussian(0.5), design13, y, design13, 1e-3)
         d = model.diagnostics
-        assert d.method == "eig-pinv"
-        assert 0 < d.rank_used <= len(design13)
+        assert d.method == "cholesky"
+        assert d.rank_used == len(design13)
+        assert d.eigen_threshold == 0.0
         assert d.residual_norm <= 1e-8 * max(1.0, np.abs(y).max())
         assert d.wall_time >= 0.0
 
