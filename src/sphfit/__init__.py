@@ -23,7 +23,7 @@ from .points import (PointSet, eq_area_centers, generate_spiral,
                      separation_radius)
 from .solver import (FittedModel, SolveDiagnostics, fit_full, fit_sketched,
                      fit_sketched_multi, fit_sketched_sweep, load_model,
-                     predict, predict_sweep, save_model)
+                     predict, rmse_sweep, save_model)
 
 __version__ = "0.1.0"
 
@@ -42,6 +42,6 @@ __all__ = [
     "mesh_norm", "save_point_file", "separation_radius",
     "FittedModel", "SolveDiagnostics", "fit_full", "fit_sketched",
     "fit_sketched_multi", "fit_sketched_sweep", "load_model", "predict",
-    "predict_sweep", "save_model",
+    "rmse_sweep", "save_model",
     "__version__",
 ]

@@ -20,13 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (Dataset, NoiseModel, TargetFunction, _rms_error, make_dataset,
+from .data import (Dataset, NoiseModel, TargetFunction, make_dataset,
                    sample_truncated_gaussian)
 from .designs import load_design
 from .kernels import KernelSpec
 from .points import (PointFileError, PointSet, _data_lines, _number, _split_rows,
                      _write_rows, generate_spiral)
-from .solver import FittedModel, fit_sketched_sweep, predict, predict_sweep
+from .solver import FittedModel, fit_sketched_sweep, predict, rmse_sweep
 
 DESK_SCALE_DEGREE = 57
 
@@ -207,10 +207,12 @@ def grid_search_multi(datasets: list[Dataset], test: tuple[PointSet, np.ndarray]
     The datasets (for example one per noise level) must share the same
     ``inputs`` object and target.  They are fitted from one
     :func:`fit_sketched_sweep` per sigma, so each lambda's decomposition is
-    computed once for all of them, and their models are scored from one
-    test kernel matrix.  Each row is the one :func:`grid_search` gives for
-    its dataset alone, but for GEMM rounding: an RMSE may differ at about
-    1e-14 relative, and so may a choice between cells that close.
+    computed once for all of them.  Then one :func:`rmse_sweep` scores every
+    model of every sigma in one pass over the test grid: each test block's
+    dot product is built once, and each sigma's kernel is evaluated on it
+    once.  Each row is the one :func:`grid_search` gives for its dataset
+    alone, but for GEMM rounding: an RMSE may differ at about 1e-14
+    relative, and so may a choice between cells that close.
     """
     return [row for row, _ in _search(datasets, test, method, grid, s_star)]
 
@@ -233,7 +235,9 @@ def _search(datasets: list[Dataset], test: tuple[PointSet, np.ndarray],
             raise ValueError("s_star label required for first/random sketching")
         s_star = method.s_star
 
-    best = [None] * len(datasets)   # (key, model); key (rmse, -lam, -sigma_key) minimized
+    # Every sigma is fitted first; then one pass over the test grid scores
+    # every lambda of every sigma and dataset.
+    models, owners = [], []     # owners[i] is the index of models[i]'s dataset
     failures = []
     for sigma in (grid.sigmas if grid.sigmas is not None else (None,)):
         kernel = kernel_for(target_name, sigma)
@@ -243,18 +247,19 @@ def _search(datasets: list[Dataset], test: tuple[PointSet, np.ndarray],
         except (np.linalg.LinAlgError, ValueError) as exc:
             failures.append(f"sigma={sigma}: {exc}")
             continue
-        # One test kernel matrix scores every lambda of every dataset.  The
-        # predictions are consumed here so none outlives this sigma's iteration.
-        models = [model for sweep in sweeps for model in sweep]
-        errs = [_rms_error(pred, test_labels) for pred in predict_sweep(models, test_points)]
-        for i, (model, err) in enumerate(zip(models, errs)):
-            if not np.isfinite(err):
-                failures.append(f"lambda={model.lam} sigma={sigma}: non-finite rmse")
-                continue
-            k = i // len(grid.lambdas)
-            key = (err, -model.lam, -(sigma if sigma is not None else 0.0))
-            if best[k] is None or key < best[k][0]:
-                best[k] = (key, model)
+        for k, sweep in enumerate(sweeps):
+            models += sweep
+            owners += [k] * len(sweep)
+    errs = rmse_sweep(models, test_points, test_labels) if models else []
+    best = [None] * len(datasets)   # (key, model); key (rmse, -lam, -sigma_key) minimized
+    for model, k, err in zip(models, owners, errs):
+        sigma = model.kernel.sigma
+        if not np.isfinite(err):
+            failures.append(f"lambda={model.lam} sigma={sigma}: non-finite rmse")
+            continue
+        key = (float(err), -model.lam, -(sigma if sigma is not None else 0.0))
+        if best[k] is None or key < best[k][0]:
+            best[k] = (key, model)
     if any(b is None for b in best):
         raise GridSearchError(
             f"all grid cells failed for method={method.variant}: "

@@ -16,10 +16,14 @@ import numpy as np
 
 UNIT_TOL = 1e-12          # post-normalization unit-norm tolerance
 LOAD_NORM_TOL = 1e-6      # acceptable norm deviation in point files
-# Bytes of one row block of a float64 dot-product matrix: prediction on a
-# test grid, the mesh norm's probe grid and the separation radius build
-# their (rows x points) matrices this many bytes at a time.
-BLOCK_BYTES = 64 << 20
+# Bytes of one row block of a float64 matrix: test-grid scoring, the mesh
+# norm's probe grid, the separation radius and the harmonic sums build their
+# (rows x columns) matrices this many bytes at a time.  Sized to fit in a
+# core's L2 cache (2 MiB on common x86 server cores), so that every consumer
+# of a block reads it while it is hot, and small enough that the allocator
+# reuses a freed block's memory for the next one instead of mapping fresh
+# pages that the OS must fault in again; the memory cap follows from that.
+BLOCK_BYTES = 1 << 20
 
 
 class PointFileError(ValueError):

@@ -308,38 +308,67 @@ def fit_full(kernel: KernelSpec, data: PointSet, values, lam: float) -> FittedMo
     return FittedModel(kernel, data, coef, lam, n, diag)
 
 
-def predict(model: FittedModel, points: PointSet) -> np.ndarray:
-    """Evaluate the fitted expansion at ``points``, blockwise."""
-    return predict_sweep([model], points)[0]
+def _scored_blocks(models: list[FittedModel], points: PointSet):
+    """The one block loop behind :func:`predict` and :func:`rmse_sweep`.
 
-
-def predict_sweep(models: list[FittedModel], points: PointSet) -> list[np.ndarray]:
-    """Evaluate several models that share one kernel and one center set.
-
-    Each block ``K`` of the test kernel matrix is built once and scores all
-    the models in one GEMM, so each returned row is within
-    ``4 * m * eps * (|K| @ |alpha|)`` entrywise of ``K @ alpha`` for its
-    model alone (m centers), also when models are added or reordered.  The
-    models must share the first one's ``kernel`` (by value) and ``centers``
-    (the same object, as :func:`fit_sketched_sweep` returns them).
+    Groups the models by kernel, in order of first appearance, and yields
+    ``(rows, indices, values)`` for each test block and each kernel:
+    ``values[i]`` is model ``indices[i]``'s prediction on ``points[rows]``.
+    Each block's dot product with the shared centers is built once and
+    serves every kernel; each kernel's block is evaluated once and scores
+    its models in one GEMM.  A block has at most ``BLOCK_BYTES`` in any of
+    these arrays, so it stays in cache while every consumer reads it.
     """
     if not models:
-        raise ValueError("predict_sweep needs at least one model")
-    kernel, centers = models[0].kernel, models[0].centers
-    if any(m.kernel != kernel or m.centers is not centers for m in models):
-        raise ValueError("predict_sweep models must share one kernel and one center set")
-    xyz = points.xyz
-    cx = centers.xyz
-    coef = np.array([m.coefficients for m in models])
-    parts = []
-    for rows in _row_blocks(len(points), len(centers)):
-        block = zonal_value(kernel, xyz[rows] @ cx.T)
-        # Outputs are allocated only after the block's temporaries are freed,
-        # and the block is dropped before the next one is built: peak memory
-        # is one block plus the outputs.  block.T is a view: one dgemm, no copy.
-        parts.append(coef @ block.T)
-        del block
-    return list(np.concatenate(parts, axis=1))
+        raise ValueError("a sweep needs at least one model")
+    centers = models[0].centers
+    if any(m.centers is not centers for m in models):
+        raise ValueError("the models of a sweep must share one center set")
+    groups: dict[KernelSpec, list[int]] = {}
+    for i, model in enumerate(models):
+        groups.setdefault(model.kernel, []).append(i)
+    stacked = [(kernel, np.array(idx), np.array([models[i].coefficients for i in idx]))
+               for kernel, idx in groups.items()]
+    xyz, cx = points.xyz, centers.xyz
+    widest = max(len(centers), *(len(idx) for idx in groups.values()))
+    for rows in _row_blocks(len(points), widest):
+        dot = xyz[rows] @ cx.T
+        for kernel, idx, coef in stacked:
+            # The kernel block is freed before the values are handed out.
+            # Its transpose is a view: one dgemm, no copy.
+            yield rows, idx, coef @ zonal_value(kernel, dot).T
+
+
+def predict(model: FittedModel, points: PointSet) -> np.ndarray:
+    """Evaluate the fitted expansion at ``points``, blockwise."""
+    out = np.empty(len(points))
+    for rows, _, values in _scored_blocks([model], points):
+        out[rows] = values[0]
+    return out
+
+
+def rmse_sweep(models: list[FittedModel], points: PointSet, labels) -> np.ndarray:
+    """Root mean squared test error of each model, in ``models`` order, from
+    one pass over the test points and no (models x points) array.
+
+    The models must share one center set (the same object, as
+    :func:`fit_sketched_sweep` returns them); their kernels may differ.
+    Each prediction is within ``4 * m * eps * (|K| @ |alpha|)`` entrywise of
+    the model's own product ``K @ alpha`` (m centers), also when models are
+    added or reordered, and the squared residuals are summed block by
+    block.  So each RMSE differs from that of a one-model evaluation by at
+    most the 2-norm of that bound over sqrt(n), plus about ``n * eps``
+    relative for the reordered sum of n squares.
+    """
+    y = np.asarray(labels, dtype=float)
+    if y.shape != (len(points),):
+        raise ValueError(f"labels must have shape ({len(points)},), got {y.shape}")
+    sums = np.zeros(len(models))
+    for rows, idx, values in _scored_blocks(models, points):
+        values -= y[rows]
+        np.square(values, out=values)
+        sums[idx] += values.sum(axis=1)
+    return np.sqrt(sums / len(points))
 
 
 MODEL_MAGIC = "sphfit-model v1"

@@ -15,7 +15,10 @@ from sphfit.harness import (SIM1_DELTAS, SIM2_S_STARS, ConfigError,
                             select_sketch, sigma_grid, sort_rows,
                             write_field_csv, write_results_csv,
                             write_seed_detail_csv)
+from sphfit.kernels import KernelSpec
 from sphfit.points import generate_spiral
+import sphfit.points as points_mod
+import sphfit.solver as solver_mod
 from sphfit.solver import WHITENED_COND_LIMIT, fit_sketched
 
 
@@ -25,6 +28,43 @@ def toy_config(**overrides) -> ExperimentConfig:
                 sim3_s_star=5, sim3_grid_n=500)
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def spy_test_kernels(monkeypatch) -> list:
+    """Record each (kernel, dot) that sphfit.solver passes to zonal_value.
+    Matrix assembly calls kernels.zonal_value directly, so only the
+    test-grid evaluations are recorded."""
+    calls = []
+    real = solver_mod.zonal_value
+
+    def spy(spec, dot):
+        calls.append((spec, dot))
+        return real(spec, dot)
+
+    monkeypatch.setattr(solver_mod, "zonal_value", spy)
+    return calls
+
+
+def blocks_of(calls) -> list:
+    """[(dot, kernels it was passed with)] in call order, dot products
+    compared by identity.  Asserts that the calls with one dot product are
+    consecutive: a block's dot product is built once and never met again."""
+    blocks = []
+    for spec, dot in calls:
+        if blocks and blocks[-1][0] is dot:
+            blocks[-1][1].append(spec)
+        else:
+            assert all(seen is not dot for seen, _ in blocks)
+            blocks.append((dot, [spec]))
+    return blocks
+
+
+def assert_tiles_test_grid(blocks, test_pts, centers):
+    """The blocks' dot products, stacked, are those of the whole test grid
+    with the centers: each test point is scored exactly once."""
+    stacked = np.concatenate([dot for dot, _ in blocks])
+    assert stacked.shape == (len(test_pts), len(centers))
+    assert np.abs(stacked - test_pts.xyz @ centers.xyz.T).max() <= 4 * np.finfo(float).eps
 
 
 class TestGrids:
@@ -211,25 +251,22 @@ class TestGridSearch:
         assert row.rmse == pytest.approx(best[0], rel=tol, abs=0.0)
 
     def test_one_zonal_value_call_per_sigma(self, design13, monkeypatch):
-        # Every lambda of a sigma is scored from one test kernel block.  Matrix
-        # assembly calls kernels.zonal_value directly, so only the test-grid
-        # evaluations in sphfit.solver are counted.
-        import sphfit.solver as solver_mod
+        # Each test block's dot product is built once and serves every sigma,
+        # and each sigma's kernel covers the test grid once, block by block.
         target = TargetFunction.by_name("f1")
         data = make_dataset(design13, target, NoiseModel(0.1, seed=7))
         test_pts = generate_spiral(300)
         grid = GridSpec(lambdas=(1e-2, 1e-4, 1e-6, 1e-8), sigmas=(0.2, 0.5, 1.0))
-        calls = []
-        real = solver_mod.zonal_value
-
-        def counting(spec, dot):
-            calls.append(np.shape(dot))
-            return real(spec, dot)
-
-        monkeypatch.setattr(solver_mod, "zonal_value", counting)
-        grid_search(data, (test_pts, target(test_pts)), SketchMethod.first(10),
-                    grid, s_star=13)
-        assert calls == [(300, 10)] * len(grid.sigmas)
+        method = SketchMethod.first(10)
+        # blocks of 64 rows: four full ones and a ragged last one of 44
+        monkeypatch.setattr(points_mod, "BLOCK_BYTES", 8 * 10 * 64)
+        calls = spy_test_kernels(monkeypatch)
+        grid_search(data, (test_pts, target(test_pts)), method, grid, s_star=13)
+        kernels = [kernel_for("f1", sigma) for sigma in grid.sigmas]
+        blocks = blocks_of(calls)
+        assert [len(dot) for dot, _ in blocks] == [64, 64, 64, 64, 44]
+        assert all(specs == kernels for _, specs in blocks)
+        assert_tiles_test_grid(blocks, test_pts, select_sketch(method, design13))
 
     def test_all_cells_failing_raises(self, design13):
         bad = Dataset(design13, np.full(len(design13), np.nan),
@@ -464,27 +501,29 @@ class TestSimulations:
         # Two noisy deltas share a grid, so each s* makes one whitened
         # decomposition for every lambda and noise level (the Wendland design
         # sketches pass the conditioning guard at every lambda), and each s*
-        # builds its test kernel matrix once.  Matrix assembly calls
-        # kernels.zonal_value directly, so only the test-grid evaluations in
-        # sphfit.solver are counted.
-        import sphfit.solver as solver_mod
-        eigh_sizes, test_kernels = [], []
-        real_eigh, real_zonal = np.linalg.eigh, solver_mod.zonal_value
+        # evaluates its kernel once on each test block.
+        eigh_sizes = []
+        real_eigh = np.linalg.eigh
 
         def counting_eigh(a, *args, **kwargs):
             eigh_sizes.append(a.shape[0])
             return real_eigh(a, *args, **kwargs)
 
-        def counting_zonal(spec, dot):
-            test_kernels.append(np.shape(dot))
-            return real_zonal(spec, dot)
-
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        monkeypatch.setattr(solver_mod, "zonal_value", counting_zonal)
-        rows = run_simulation1(toy_config(deltas=(0.1, 0.5), s_stars=(5, 9)))
+        # 2 x 57 models are wider than either center set: blocks of 100 rows
+        cfg = toy_config(deltas=(0.1, 0.5), s_stars=(5, 9))
+        n_models = 2 * len(GridSpec.for_target(cfg.target, noisy=True).lambdas)
+        monkeypatch.setattr(points_mod, "BLOCK_BYTES", 8 * n_models * 100)
+        calls = spy_test_kernels(monkeypatch)
+        rows = run_simulation1(cfg)
         assert len(rows) == 4
         assert eigh_sizes == [12, 48]
-        assert test_kernels == [(400, 12), (400, 48)]
+        blocks = blocks_of(calls)
+        assert [dot.shape for dot, _ in blocks] == [(100, 12)] * 4 + [(100, 48)] * 4
+        assert all(specs == [KernelSpec.wendland()] for _, specs in blocks)
+        test_pts = generate_spiral(cfg.n_test)
+        assert_tiles_test_grid(blocks[:4], test_pts, load_design(5))
+        assert_tiles_test_grid(blocks[4:], test_pts, load_design(9))
 
     def test_sim2_deterministic(self):
         cfg = toy_config(deltas=(0.1,), s_stars=(5,), n_seeds=2, n_test=100, t=5)

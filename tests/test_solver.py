@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sphfit.data import NoiseModel, TargetFunction, make_dataset
+from sphfit.data import NoiseModel, TargetFunction, make_dataset, rmse
 from sphfit.designs import load_design
 from sphfit.harness import GridSpec, SketchMethod, select_sketch
 from sphfit.kernels import KernelSpec, cross_matrix, gram, zonal_value
@@ -17,7 +17,7 @@ import sphfit.points as points_mod
 import sphfit.solver as solver_mod
 from sphfit.solver import (CHOLESKY_MARGIN, WHITENED_COND_LIMIT, FittedModel,
                            fit_full, fit_sketched, fit_sketched_multi,
-                           fit_sketched_sweep, load_model, predict, predict_sweep,
+                           fit_sketched_sweep, load_model, predict, rmse_sweep,
                            save_model)
 
 from conftest import random_unit_points
@@ -157,15 +157,71 @@ def single_model_block_loop(model: FittedModel, points: PointSet) -> np.ndarray:
     return out
 
 
+def predict_sweep(models: list[FittedModel], points: PointSet) -> list[np.ndarray]:
+    """The reference scorer for rmse_sweep: the models' predictions as rows
+    of one (models x points) array, one GEMM per test kernel block.  The
+    models must share one kernel and one center set."""
+    kernel, centers = models[0].kernel, models[0].centers
+    assert all(m.kernel == kernel and m.centers is centers for m in models)
+    coef = np.array([m.coefficients for m in models])
+    parts = [coef @ zonal_value(kernel, points.xyz[rows] @ centers.xyz.T).T
+             for rows in points_mod._row_blocks(len(points), len(centers))]
+    return list(np.concatenate(parts, axis=1))
+
+
+def rms_error(prediction: np.ndarray, labels: np.ndarray) -> float:
+    """Root mean squared error of one prediction, summed over all points at once."""
+    return float(np.sqrt(np.mean((prediction - labels) ** 2)))
+
+
+def oracle_rmses(models: list[FittedModel], points: PointSet, labels) -> np.ndarray:
+    """Each model's RMSE from predict_sweep over its own kernel's models."""
+    out = np.empty(len(models))
+    for kernel in dict.fromkeys(m.kernel for m in models):
+        idx = [i for i, m in enumerate(models) if m.kernel == kernel]
+        for i, row in zip(idx, predict_sweep([models[i] for i in idx], points)):
+            out[i] = rms_error(row, labels)
+    return out
+
+
 def assert_within_gemm_bound(got, expect, model, points):
     """Two evaluations of ``K @ alpha`` that sum in different orders: each is
     within ``gamma_m |K| @ |alpha|`` of the exact product, gamma_m =
     m eps / (1 - m eps) for m centers, so they differ entrywise by at most
     2 gamma_m <= 4 m eps times ``|K| @ |alpha|``."""
+    assert np.all(np.abs(got - expect) <= gemm_bound(model, points))
+
+
+def gemm_bound(model, points) -> np.ndarray:
     k = zonal_value(model.kernel, points.xyz @ model.centers.xyz.T)
-    scale = np.abs(k) @ np.abs(model.coefficients)
-    bound = 4 * len(model.centers) * np.finfo(float).eps * scale
-    assert np.all(np.abs(got - expect) <= bound)
+    return 4 * len(model.centers) * np.finfo(float).eps * (np.abs(k) @ np.abs(model.coefficients))
+
+
+def assert_rmses_within_bound(got, expect, models, points):
+    """Two RMSEs of one model on n points.  Their predictions differ
+    entrywise by at most the GEMM bound b (assert_within_gemm_bound), so
+    the residual vectors differ in 2-norm by at most |b|_2, and the exact
+    RMSEs of the two computed predictions by |b|_2 / sqrt(n).  Each side then
+    rounds the residuals, their squares, a sum of n squares in its own
+    order, the division and the square root: to first order at most
+    (n + 4) eps relative."""
+    n, eps = len(points), np.finfo(float).eps
+    assert len(got) == len(expect) == len(models)
+    for model, a, b in zip(models, got, expect):
+        tol = (np.linalg.norm(gemm_bound(model, points)) / np.sqrt(n)
+               + 2 * (n + 4) * eps * max(a, b))
+        assert abs(a - b) <= tol
+
+
+def mixed_kernel_models(design: PointSet, lams=(1e-2, 1e-4, 1e-6)) -> list[FittedModel]:
+    """Three Gaussian widths and the Wendland kernel, each fitted at every
+    lam on one center set (every other point of ``design``)."""
+    centers = design.take(np.arange(0, len(design), 2))
+    y = smooth_values(design)
+    kernels = (KernelSpec.gaussian(0.3), KernelSpec.gaussian(0.6),
+               KernelSpec.gaussian(1.0), KernelSpec.wendland())
+    return [model for kernel in kernels
+            for model in fit_sketched_multi(kernel, design, y, centers, lams)]
 
 
 def traced_peak(fn) -> int:
@@ -219,13 +275,15 @@ class TestPredict:
         models = fit_sketched_multi(kernel, design17, smooth_values(design17),
                                     design17, [1e-2, 1e-4, 1e-6])
         probe = PointSet(random_unit_points(np.random.default_rng(5), n_probe))
+        labels = smooth_values(probe)
         rows = predict_sweep(models, probe)
         assert len(rows) == len(models)
         for model, row in zip(models, rows):
-            assert row.flags.c_contiguous
             assert_within_gemm_bound(row, single_model_block_loop(model, probe), model, probe)
-            # predict is the one-model sweep, bit for bit
+            # predict is the one-model GEMM of the reference, bit for bit
             assert np.array_equal(predict(model, probe), predict_sweep([model], probe)[0])
+        assert_rmses_within_bound(rmse_sweep(models, probe, labels),
+                                  oracle_rmses(models, probe, labels), models, probe)
 
     def test_sweep_oracle_bound_holds_for_large_coefficients(self, design13):
         # f1's Gaussian at sigma = 1 on the first 20 training points is badly
@@ -240,43 +298,87 @@ class TestPredict:
         probe = PointSet(random_unit_points(np.random.default_rng(8), 300))
         for model, row in zip(models, predict_sweep(models, probe)):
             assert_within_gemm_bound(row, single_model_block_loop(model, probe), model, probe)
+        labels = TargetFunction.by_name("f1")(probe)
+        assert_rmses_within_bound(rmse_sweep(models, probe, labels),
+                                  oracle_rmses(models, probe, labels), models, probe)
+
+    @pytest.mark.parametrize("block_rows", [None, 150, 1],
+                             ids=["one-block", "ragged-blocks", "one-row-blocks"])
+    def test_rmse_sweep_matches_per_kernel_oracle(self, design17, block_rows, monkeypatch):
+        models = mixed_kernel_models(design17)
+        m = len(models[0].centers)
+        n_probe = 500
+        if block_rows is not None:
+            # the centers are the widest per-block array: m columns > 3 models
+            monkeypatch.setattr(points_mod, "BLOCK_BYTES", 8 * m * block_rows)
+        probe = PointSet(random_unit_points(np.random.default_rng(5), n_probe))
+        labels = smooth_values(probe)
+        got = rmse_sweep(models, probe, labels)
+        assert got.shape == (len(models),)
+        assert_rmses_within_bound(got, oracle_rmses(models, probe, labels), models, probe)
+        # rmse(model) is the one-model sweep
+        assert rmse(models[4], probe, labels) == rmse_sweep([models[4]], probe, labels)[0]
+
+    def test_rmse_sweep_more_models_than_rows_per_block(self, design13, monkeypatch):
+        # 40 models of one kernel on 10 centers: the stacked predictions are
+        # the widest per-block array, so a block of 3 rows holds 40 x 3 values
+        centers = design13.take(np.arange(10))
+        lams = np.logspace(-1, -9, 40)
+        models = fit_sketched_multi(KernelSpec.gaussian(0.5), design13,
+                                    smooth_values(design13), centers, lams)
+        monkeypatch.setattr(points_mod, "BLOCK_BYTES", 8 * 40 * 3)
+        assert list(points_mod._row_blocks(7, 40)) == [slice(0, 3), slice(3, 6), slice(6, 9)]
+        probe = PointSet(random_unit_points(np.random.default_rng(4), 200))
+        labels = smooth_values(probe)
+        assert_rmses_within_bound(rmse_sweep(models, probe, labels),
+                                  oracle_rmses(models, probe, labels), models, probe)
 
     def test_reordering_or_subsetting_models_stays_within_bound(self, design17):
-        models = fit_sketched_multi(KernelSpec.gaussian(0.5), design17,
-                                    smooth_values(design17), design17,
-                                    [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
+        models = mixed_kernel_models(design17, lams=(1e-1, 1e-3, 1e-5, 1e-7))
         probe = PointSet(random_unit_points(np.random.default_rng(6), 400))
-        full = predict_sweep(models, probe)
-        for order in ([6, 5, 4, 3, 2, 1, 0], [3, 0, 5], [4]):
-            rows = predict_sweep([models[i] for i in order], probe)
-            for i, row in zip(order, rows):
-                assert_within_gemm_bound(row, full[i], models[i], probe)
+        labels = smooth_values(probe)
+        full = rmse_sweep(models, probe, labels)
+        assert_rmses_within_bound(full, oracle_rmses(models, probe, labels), models, probe)
+        n = len(models)
+        for order in (list(range(n))[::-1], [3, 12, 0, 9, 5], [14], [7, 7]):
+            picked = [models[i] for i in order]
+            assert_rmses_within_bound(rmse_sweep(picked, probe, labels), full[order],
+                                      picked, probe)
 
-    def test_sweep_peak_memory_is_one_block_plus_coefficients(self):
-        # sim1's s* = 25 scoring step: 2 noise levels x 57 lambdas on the
-        # 10000-point test spiral, one test block of 10000 x 328
+    def test_rmse_sweep_peak_memory_is_one_block_plus_coefficients(self):
+        # sim1's s* = 25 scoring step: 2 noise levels x 57 lambdas of the
+        # Wendland kernel on the t = 25 design's 328 centers
         centers = load_design(25)
-        probe = generate_spiral(10000)
-        assert 8 * len(probe) * len(centers) <= points_mod.BLOCK_BYTES
         kernel = KernelSpec.wendland()
         coefs = np.random.default_rng(9).standard_normal((114, len(centers)))
         models = [FittedModel(kernel, centers, c, 1e-3, 1000, None) for c in coefs]
-        block_peak = traced_peak(lambda: zonal_value(kernel, probe.xyz @ centers.xyz.T))
-        sweep_peak = traced_peak(lambda: predict_sweep(models, probe))
-        # the outputs (114 x 10000 doubles, 8.7 MiB) must not coexist with
-        # the block's kernel temporaries
-        assert sweep_peak <= block_peak + coefs.nbytes + 2**20
+        rows = points_mod.BLOCK_BYTES // (8 * len(centers))
+        peaks = []
+        for n_test in (10000, 40000):
+            probe = generate_spiral(n_test)
+            labels = np.zeros(n_test)
+            first = probe.xyz[:rows]
+            # one block's dot product, kernel temporaries and stacked predictions
+            block_peak = traced_peak(lambda: coefs @ zonal_value(kernel, first @ centers.xyz.T).T)
+            peaks.append(traced_peak(lambda: rmse_sweep(models, probe, labels)))
+            assert peaks[-1] <= block_peak + coefs.nbytes + 2**20
+        # no array grows with the number of test points
+        assert abs(peaks[1] - peaks[0]) <= 2**20
 
     def test_sweep_rejects_empty_model_list(self):
         with pytest.raises(ValueError, match="at least one model"):
-            predict_sweep([], NORTH)
+            rmse_sweep([], NORTH, [0.0])
 
-    def test_sweep_rejects_mixed_kernels(self, design13):
+    def test_sweep_accepts_mixed_kernels_on_one_center_set(self, design13):
         y = smooth_values(design13)
         a = fit_sketched(KernelSpec.gaussian(0.5), design13, y, design13, 1e-3)
         b = fit_sketched(KernelSpec.gaussian(0.6), design13, y, design13, 1e-3)
-        with pytest.raises(ValueError, match="one kernel"):
-            predict_sweep([a, b], design13)
+        c = fit_sketched(KernelSpec.wendland(), design13, y, design13, 1e-3)
+        probe = PointSet(random_unit_points(np.random.default_rng(2), 300))
+        labels = smooth_values(probe)
+        models = [a, b, c, a]
+        assert_rmses_within_bound(rmse_sweep(models, probe, labels),
+                                  oracle_rmses(models, probe, labels), models, probe)
 
     def test_sweep_rejects_distinct_center_objects(self, design13):
         y = smooth_values(design13)
@@ -286,7 +388,7 @@ class TestPredict:
         # equal points are not enough: the center set must be the same object
         assert np.array_equal(a.centers.xyz, b.centers.xyz)
         with pytest.raises(ValueError, match="one center set"):
-            predict_sweep([a, b], design13)
+            rmse_sweep([a, b], design13, smooth_values(design13))
 
 
 def per_lambda_eigh_fit(kernel, data, y, centers, lams):
