@@ -4,6 +4,10 @@ Both kernels depend on their arguments only through the chordal distance,
 so every evaluation goes through the dot product (clamped to [-1, 1]) and
 ``||a - b||^2 = 2 - 2 a.b``; this makes zonality exact and avoids
 cancellation near coincident points.
+
+``DEFAULT_MEMORY_BUDGET`` bounds what a kernel matrix really allocates:
+:func:`cross_matrix` evaluates the kernel into its dot-product matrix one
+row block at a time, so it holds the output plus one block's temporaries.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .points import PointSet
+from .points import PointSet, _row_blocks
 
 DEFAULT_MEMORY_BUDGET = 2 << 30     # bytes; guards accidental |D|^2 allocations
 
@@ -127,13 +131,21 @@ def _check_budget(rows: int, cols: int):
 def cross_matrix(spec: KernelSpec, rows: PointSet, cols: PointSet) -> np.ndarray:
     """Dense |rows| x |cols| kernel matrix between two point sets.
 
-    With ``rows is cols``, numpy computes the product of the C-ordered
+    The dot products come from one product of the coordinate arrays, which
+    :func:`zonal_value` then overwrites one row block (``_row_blocks``) at
+    a time: the peak is the output plus one block's temporaries, and each
+    entry is bitwise ``zonal_value`` of its dot product.  With
+    ``rows is cols``, numpy computes that product of the C-ordered
     coordinates with their own transpose as a symmetric rank-k update
     (``syrk``) and fills the other triangle by copying, so the result
-    satisfies ``M == M.T`` bitwise.
+    satisfies ``M == M.T`` bitwise.  (Blockwise products would not: they
+    round the two triangles differently.)
     """
     _check_budget(len(rows), len(cols))
-    return zonal_value(spec, rows.xyz @ cols.xyz.T)
+    out = rows.xyz @ cols.xyz.T
+    for block in _row_blocks(len(rows), len(cols)):
+        out[block] = zonal_value(spec, out[block])
+    return out
 
 
 def gram(spec: KernelSpec, point_set: PointSet) -> np.ndarray:

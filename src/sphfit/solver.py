@@ -19,6 +19,17 @@ pseudo-inverse, so that rank deficiency (tiny lam, clustered or duplicate
 centers) degrades gracefully instead of blowing up.  ``fit_full`` covers
 the classical m = N case through the equivalent system
 (K + lam * N * I) alpha = y.
+
+Working set.  ``Knm`` (N x m) is freed as soon as ``Knm^T Knm`` and every
+``Knm^T y`` exist, and only then is ``Kmm`` built.  Each lam's system is
+formed in one allocation, factored into its own storage and inverted there
+(or replaced by its eigenvectors), so a one-lam fit holds at most
+max(N m + m^2, 4 m^2) doubles, plus one kernel block (``BLOCK_BYTES``) and
+numpy's LAPACK copy of the system while it is factored.  A sweep of
+several lams also keeps the whitened basis, and the whitening holds two
+m x m products at once: max(N m + m^2, 5 m^2) doubles.  Each model adds
+its m coefficients.  ``fit_full`` holds its N x N system and scipy's
+factor of it, about 2 N^2 doubles (3 N^2 on its pseudo-inverse fallback).
 """
 
 from __future__ import annotations
@@ -45,7 +56,7 @@ WHITENED_COND_LIMIT = 1e8
 # A lam the whitening does not serve is solved by its own Cholesky factor when
 # kappa >= cond_2(A) of its system A is at most 1 / (CHOLESKY_MARGIN * m * eps).
 # Then lambda_min(A) >= lambda_max(A) / kappa >= 100 * m * eps * lambda_max(A),
-# 100 times above the cutoff of _eig_decompose: the pseudo-inverse would drop
+# 100 times above the cutoff of _kept_eigenpairs: the pseudo-inverse would drop
 # no eigenvalue, so both solve the same nonsingular system and give the same
 # estimator up to rounding, about m * eps * cond_2(A) relative.
 CHOLESKY_MARGIN = 100
@@ -90,64 +101,73 @@ class FittedModel:
         return predict(self, points)
 
 
-def _eig_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Kept eigenpairs of a symmetric PSD matrix, for a pseudo-inverse solve.
+def _kept_eigenpairs(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The eigenpairs ``np.linalg.eigh`` gave for a symmetric PSD matrix
+    that a pseudo-inverse solve keeps.
 
     Eigenvalues at or below m * eps * lambda_max are treated as zero.
     Returns (kept eigenvalues, their eigenvectors as columns, threshold).
+    Taking eigh's output rather than the matrix lets a caller that passes
+    ``eigh(<temporary>)`` have the matrix freed before the kept columns are
+    copied out.  eigh reads one triangle only; callers pass exactly
+    symmetric matrices.
     """
-    m = a.shape[0]
-    # eigh reads one triangle only; callers pass exactly symmetric matrices.
-    w, v = np.linalg.eigh(a)
+    m = len(w)
     w_max = float(w[-1]) if m else 0.0
     threshold = m * np.finfo(float).eps * max(w_max, 0.0)
     keep = w > threshold
     return w[keep], v[:, keep], threshold
 
 
-def _lower_inverse(l: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Inverse X of a nonsingular lower-triangular matrix L, with exact zeros
-    above the diagonal and a right residual ``|X L - I|`` within
-    ``m * eps * (|X| @ |L|)`` entrywise.
+def _lower_inverse(l: np.ndarray) -> np.ndarray:
+    """Overwrite a nonsingular lower-triangular matrix L, which has exact
+    zeros above the diagonal, with its inverse X and return it.  X has
+    exact zeros above the diagonal and a right residual ``|X L - I|``
+    within ``m * eps * (|X| @ |L|)`` entrywise.
 
-    2 x 2 block recursion, each block written into ``out`` (a fresh array at
-    the top call).  The off-diagonal block solves ``X21 L11 = -(X22 L21)`` by
-    ``np.linalg.solve`` on the upper-triangular ``L11^T``; diagonal blocks of
-    at most ``TRI_INV_LEAF`` rows are inverted the same way, ``inv(L^T)^T``.
-    An upper-triangular matrix needs no row exchange, so numpy's LU of it is
-    exact and the solve is a backward-stable back substitution.  numpy has no
-    triangular solve of its own: ``np.linalg.inv(L)`` exchanges rows of a
+    2 x 2 block recursion in place, as LAPACK's xTRTRI inverts (Du Croz &
+    Higham, IMA J. Numer. Anal. 1992): X22 first, then the off-diagonal
+    block, which solves ``X21 L11 = -(X22 L21)`` while L11 is still in
+    place, then X11.  The solve is ``np.linalg.solve`` on the
+    upper-triangular ``L11^T``; diagonal blocks of at most ``TRI_INV_LEAF``
+    rows are inverted the same way, ``inv(L^T)^T``.  An upper-triangular
+    matrix needs no row exchange, so numpy's LU of it is exact and the
+    solve is a backward-stable back substitution.  numpy has no triangular
+    solve of its own: ``np.linalg.inv(L)`` exchanges rows of a
     lower-triangular L and ``X21 = -X22 (L21 X11)`` multiplies by the
     computed X11, and on an ill-conditioned factor either one is orders of
     magnitude less accurate.
     """
-    x = np.zeros_like(l) if out is None else out
     m = len(l)
     if m <= TRI_INV_LEAF:
-        x[:] = np.linalg.inv(l.T).T
-        return x
+        l[:] = np.linalg.inv(l.T).T
+        return l
     h = m // 2
-    _lower_inverse(l[:h, :h], x[:h, :h])
-    _lower_inverse(l[h:, h:], x[h:, h:])
-    x[h:, :h] = np.linalg.solve(l[:h, :h].T, -(x[h:, h:] @ l[h:, :h]).T).T
-    return x
+    _lower_inverse(l[h:, h:])
+    l[h:, :h] = np.linalg.solve(l[:h, :h].T, -(l[h:, h:] @ l[h:, :h]).T).T
+    _lower_inverse(l[:h, :h])
+    return l
 
 
 def _cholesky_inverse(a: np.ndarray) -> tuple[np.ndarray | None, float]:
-    """``(L^-1, kappa)`` for ``a = L L^T``, or ``(None, inf)`` if the
-    factorization fails.
+    """Overwrite ``a = L L^T`` with ``L^-1`` and return ``(L^-1, kappa)``, or
+    ``(None, inf)``, with ``a`` left as it was, if the factorization fails.
 
     ``kappa = |a|_1 |L^-1|_1 |L^-1|_inf`` bounds cond_2(a) from above, since
     ``|a^-1|_2 = |L^-1|_2^2 <= |L^-1|_1 |L^-1|_inf`` and ``|a|_2 <= |a|_1``
-    for symmetric a.  numpy.linalg only: scipy's separately built BLAS would
-    contend with numpy's for the same cores.
+    for symmetric a.  The factor is stored in ``a`` as soon as it exists
+    and is inverted there, so at most two m x m arrays are held, plus
+    numpy's LAPACK copy of ``a`` during the factorization.  numpy.linalg
+    only: scipy's separately built BLAS would contend with numpy's for the
+    same cores.
     """
+    a_norm = np.linalg.norm(a, 1)
     try:
-        l_inv = _lower_inverse(np.linalg.cholesky(a))
+        a[:] = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         return None, np.inf
-    kappa = float(np.linalg.norm(a, 1) * np.linalg.norm(l_inv, 1)
-                  * np.linalg.norm(l_inv, np.inf))
+    l_inv = _lower_inverse(a)
+    kappa = float(a_norm * np.linalg.norm(l_inv, 1) * np.linalg.norm(l_inv, np.inf))
     return l_inv, kappa
 
 
@@ -161,7 +181,7 @@ def _whiten(gtg: np.ndarray, kmm: np.ndarray):
     the eigendecomposition fails or kappa alone exceeds the limit (then no
     shift is admitted).
     """
-    l_inv, kappa = _cholesky_inverse(kmm)
+    l_inv, kappa = _cholesky_inverse(kmm.copy())
     if not kappa <= WHITENED_COND_LIMIT:
         return None
     try:
@@ -176,6 +196,32 @@ def _admitted(d: np.ndarray, kappa: float, shift: float) -> bool:
     number of the shifted system, is positive and within the limit."""
     low = d[0] + shift
     return bool(low > 0 and kappa * (abs(d[-1]) + shift) <= WHITENED_COND_LIMIT * low)
+
+
+def _system(gtg: np.ndarray, kmm: np.ndarray, shift: float) -> np.ndarray:
+    """``gtg + shift * kmm`` in one allocation, bit for bit."""
+    a = np.multiply(kmm, shift)
+    a += gtg
+    return a
+
+
+def _own_factorization(gtg: np.ndarray, kmm: np.ndarray, shift: float):
+    """``(method, w, V, threshold)`` with ``alpha = V ((V^T b) / w)`` solving
+    ``(gtg + shift * kmm) alpha = b``: ``(1, L^-T)`` of the system's own
+    Cholesky factor when its bound kappa (:func:`_cholesky_inverse`) is at
+    most ``1 / (CHOLESKY_MARGIN * m * eps)``, else the system's kept
+    eigenpairs (:func:`_kept_eigenpairs`).
+
+    A rejected ``L^-1`` is released before the pseudo-inverse forms the
+    system again, with the same bits, so no two systems are held at once.
+    """
+    m = len(kmm)
+    a = _system(gtg, kmm, shift)
+    l_inv, kappa = _cholesky_inverse(a)
+    if kappa <= 1.0 / (CHOLESKY_MARGIN * m * np.finfo(float).eps):
+        return "cholesky", np.ones(m), l_inv.T, 0.0
+    del a, l_inv
+    return ("eig-pinv", *_kept_eigenpairs(*np.linalg.eigh(_system(gtg, kmm, shift))))
 
 
 def _check_values(values, n: int) -> np.ndarray:
@@ -219,9 +265,10 @@ def fit_sketched_sweep(kernel: KernelSpec, data: PointSet, label_sets,
 
     t0 = time.perf_counter()
     knm = cross_matrix(kernel, data, centers)
-    kmm = gram(kernel, centers)
     gtg = knm.T @ knm
     rhs = [knm.T @ y for y in ys]
+    del knm     # freed before Kmm is built
+    kmm = gram(kernel, centers)
     assembly = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -231,8 +278,6 @@ def fit_sketched_sweep(kernel: KernelSpec, data: PointSet, label_sets,
         projected = [p.T @ b for b in rhs]
     whitening = time.perf_counter() - t0
 
-    m = len(centers)
-    cholesky_limit = 1.0 / (CHOLESKY_MARGIN * m * np.finfo(float).eps)
     models: list[list[FittedModel]] = [[] for _ in ys]
     for lam in lams:
         shift = lam * n
@@ -241,14 +286,8 @@ def fit_sketched_sweep(kernel: KernelSpec, data: PointSet, label_sets,
             decompose = whitening
         else:
             t0 = time.perf_counter()
-            a = gtg + shift * kmm
-            l_inv, own_kappa = _cholesky_inverse(a)
-            if own_kappa <= cholesky_limit:
-                method, w, v, threshold = "cholesky", np.ones(m), l_inv.T, 0.0
-                coords = [l_inv @ b for b in rhs]
-            else:
-                w, v, threshold = _eig_decompose(a)
-                method, coords = "eig-pinv", [v.T @ b for b in rhs]
+            method, w, v, threshold = _own_factorization(gtg, kmm, shift)
+            coords = [v.T @ b for b in rhs]
             decompose = time.perf_counter() - t0
         for b, c, out in zip(rhs, coords, models):
             t0 = time.perf_counter()
@@ -259,6 +298,7 @@ def fit_sketched_sweep(kernel: KernelSpec, data: PointSet, label_sets,
                 residual_norm=float(np.linalg.norm(gtg @ coef + shift * (kmm @ coef) - b)),
                 wall_time=wall)
             out.append(FittedModel(kernel, centers, coef, lam, n, diag))
+        del v   # not held while the next lam's system is factored
     return models
 
 
@@ -299,7 +339,7 @@ def fit_full(kernel: KernelSpec, data: PointSet, values, lam: float) -> FittedMo
         coef = scipy.linalg.cho_solve(scipy.linalg.cho_factor(shifted, lower=True), y)
         method, rank, threshold = "cholesky", n, 0.0
     except scipy.linalg.LinAlgError:
-        w, v, threshold = _eig_decompose(shifted)
+        w, v, threshold = _kept_eigenpairs(*np.linalg.eigh(shifted))
         coef = v @ ((v.T @ y) / w)
         method, rank = "eig-pinv", len(w)
     diag = SolveDiagnostics(method, rank, threshold,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -34,3 +36,14 @@ def wendland_psi(u) -> np.ndarray | float:
     base = np.maximum(1.0 - u_arr, 0.0)
     out = base**8 * (32 * u_arr**3 + 25 * u_arr**2 + 8 * u_arr + 1)
     return float(out) if np.isscalar(u) or u_arr.ndim == 0 else out
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that ``fn()`` allocates, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

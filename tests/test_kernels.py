@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from sphfit import kernels
 from sphfit.kernels import (KernelSpec, MatrixSizeError, cross_matrix, gram,
                             zonal_value)
-from sphfit.points import PointSet
+from sphfit.designs import load_design
+from sphfit.points import PointSet, generate_spiral
+import sphfit.points as points_mod
 
-from conftest import random_unit_points, wendland_psi
+from conftest import random_unit_points, traced_peak, wendland_psi
 
 
 class TestWendlandPsi:
@@ -237,6 +239,31 @@ class TestMatrices:
                 assert np.array_equal(g, g.T)
                 assert np.array_equal(g, gram(spec, PointSet(pts)))
                 assert np.allclose(np.diag(g), 1.0, atol=1e-15)
+
+    # one block (the default), blocks of one row, and blocks of 16 rows
+    # (cross matrix) or 10 rows (Gram) with a ragged last block
+    @pytest.mark.parametrize("block_bytes", [None, 8, 8 * 41 * 10])
+    @pytest.mark.parametrize("spec", [KernelSpec.gaussian(0.5), KernelSpec.wendland()])
+    def test_blockwise_assembly_bitwise_matches_whole_matrix_oracle(self, rng, spec,
+                                                                    block_bytes, monkeypatch):
+        rows, cols = (PointSet(random_unit_points(rng, n)) for n in (41, 25))
+        if block_bytes is not None:
+            monkeypatch.setattr(points_mod, "BLOCK_BYTES", block_bytes)
+        for a, b in ((rows, cols), (rows, rows)):
+            expect = zonal_value(spec, a.xyz @ b.xyz.T)
+            assert cross_matrix(spec, a, b).tobytes() == expect.tobytes()
+        g = gram(spec, rows)
+        assert g.tobytes() == g.T.copy().tobytes()
+
+    @pytest.mark.parametrize("spec", [KernelSpec.gaussian(0.5), KernelSpec.wendland()])
+    def test_assembly_peak_is_output_plus_one_block(self, spec):
+        # zonal_value's temporaries of one block, never a second whole
+        # matrix (a whole-matrix zonal_value peaks at 2 to 2.9 times the
+        # output)
+        for make in (lambda: cross_matrix(spec, generate_spiral(2000), load_design(41)),
+                     lambda: gram(spec, load_design(41))):
+            out_bytes = make().nbytes
+            assert traced_peak(make) <= out_bytes + 2 * points_mod.BLOCK_BYTES + 2**21
 
     def test_gram_matches_cross_matrix(self, rng):
         pts = PointSet(random_unit_points(rng, 31))

@@ -1,6 +1,9 @@
+import os
+import subprocess
+import sys
 import time
-import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from sphfit.designs import load_design
 from sphfit.harness import GridSpec, SketchMethod, select_sketch
 from sphfit.kernels import KernelSpec, cross_matrix, gram, zonal_value
 from sphfit.points import PointSet, generate_spiral
+import sphfit
 import sphfit.points as points_mod
 import sphfit.solver as solver_mod
 from sphfit.solver import (CHOLESKY_MARGIN, WHITENED_COND_LIMIT, FittedModel,
@@ -20,7 +24,7 @@ from sphfit.solver import (CHOLESKY_MARGIN, WHITENED_COND_LIMIT, FittedModel,
                            fit_sketched_sweep, load_model, predict, rmse_sweep,
                            save_model)
 
-from conftest import random_unit_points
+from conftest import random_unit_points, traced_peak
 
 NORTH = PointSet(np.array([[0.0, 0.0, 1.0]]))
 KERNELS = (KernelSpec.gaussian(0.5), KernelSpec.wendland())
@@ -222,17 +226,6 @@ def mixed_kernel_models(design: PointSet, lams=(1e-2, 1e-4, 1e-6)) -> list[Fitte
                KernelSpec.gaussian(1.0), KernelSpec.wendland())
     return [model for kernel in kernels
             for model in fit_sketched_multi(kernel, design, y, centers, lams)]
-
-
-def traced_peak(fn) -> int:
-    """Peak bytes that ``fn()`` allocates, as tracemalloc sees them."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
 
 
 class TestPredict:
@@ -657,6 +650,22 @@ def cholesky_limit(m: int) -> float:
     return 1.0 / (CHOLESKY_MARGIN * m * np.finfo(float).eps)
 
 
+def lower_inverse_oracle(l, out=None):
+    """The out-of-place recursion the solver's in-place triangular inverse
+    must reproduce bit for bit: X11 and X22 into a fresh array, then
+    ``X21 = solve(L11^T, -(X22 L21)^T)^T``."""
+    x = np.zeros_like(l) if out is None else out
+    m = len(l)
+    if m <= solver_mod.TRI_INV_LEAF:
+        x[:] = np.linalg.inv(l.T).T
+        return x
+    h = m // 2
+    lower_inverse_oracle(l[:h, :h], x[:h, :h])
+    lower_inverse_oracle(l[h:, h:], x[h:, h:])
+    x[h:, :h] = np.linalg.solve(l[:h, :h].T, -(x[h:, h:] @ l[h:, :h]).T).T
+    return x
+
+
 class TestCholeskyArm:
     @pytest.mark.parametrize("m", [1, 2, 255, 256, 257, 513, 1031])
     @pytest.mark.parametrize("matrix", ["random", "gaussian-gram"])
@@ -670,7 +679,10 @@ class TestCholeskyArm:
             sites = generate_spiral(max(m, 2)).take(np.arange(m))
             a = gram(KernelSpec.gaussian(0.3), sites) + 1e-6 * np.eye(m)
         l = np.linalg.cholesky(a)
-        x = solver_mod._lower_inverse(l)
+        given = l.copy()
+        x = solver_mod._lower_inverse(given)
+        assert x is given
+        assert x.tobytes() == lower_inverse_oracle(l).tobytes()
         assert np.all(np.triu(x, 1) == 0.0)
         resid = np.abs(x @ l - np.eye(m))
         assert np.all(resid <= m * np.finfo(float).eps * (np.abs(x) @ np.abs(l)))
@@ -722,6 +734,76 @@ class TestCholeskyArm:
     def test_indefinite_matrix_is_not_factored(self):
         a = np.array([[1.0, 2.0], [2.0, 1.0]])
         assert solver_mod._cholesky_inverse(a) == (None, np.inf)
+
+
+# One fit at m = N = 1656 after a small warm-up fit has started the BLAS
+# threads and loaded numpy.linalg; prints the growth of the process's peak
+# resident size in units of m x m doubles.  The peak is VmHWM, not
+# ru_maxrss: Linux carries a parent's resident size at fork into the
+# child's ru_maxrss, and the test process is far larger than this fit.
+RSS_GROWTH_SCRIPT = """
+import numpy as np
+from sphfit.designs import load_design
+from sphfit.kernels import KernelSpec
+from sphfit.solver import fit_sketched
+
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+kernel = KernelSpec.wendland()
+warm = load_design(13)
+fit_sketched(kernel, warm, np.ones(len(warm)), warm, 2e-4)
+sites = load_design(57)
+y = np.cos(3.0 * sites.xyz[:, 2])
+before = peak_kib()
+fit_sketched(kernel, sites, y, sites, 2e-4)
+print((peak_kib() - before) * 1024 / (8 * len(sites) ** 2))
+"""
+
+
+class TestWorkingSet:
+    """What a fit holds at most, as the solver module docstring states it:
+    max(N m + m^2, 4 m^2) doubles for one lam and max(N m + m^2, 5 m^2)
+    for a whitened sweep, plus one block (slack of 2 MiB here)."""
+
+    @pytest.mark.parametrize("data_degree, center_degree, lam, method", [
+        (41, 41, 2e-4, "cholesky"), (41, 41, 1e-14, "eig-pinv"),
+        (57, 25, 2e-4, "cholesky")])
+    def test_one_lambda_fit(self, data_degree, center_degree, lam, method):
+        # m = N = 864 on both arms (6.5 m^2 on the Cholesky arm before the
+        # working set was bounded), and N = 1656 > m = 328, where Knm and
+        # Knm^T Knm set the peak
+        data, centers = load_design(data_degree), load_design(center_degree)
+        n, m = len(data), len(centers)
+        models = []
+        peak = traced_peak(lambda: models.append(
+            fit_sketched(KernelSpec.wendland(), data, smooth_values(data), centers, lam)))
+        assert models[0].diagnostics.method == method
+        assert peak <= 8 * max(n * m + m * m, 4 * m * m) + 2**21
+
+    def test_sweep_through_every_arm(self):
+        # m = N = 864: 9.9 m^2 before the working set was bounded
+        sites = load_design(41)
+        m = len(sites)
+        models = []
+        peak = traced_peak(lambda: models.extend(fit_sketched_multi(
+            KernelSpec.wendland(), sites, smooth_values(sites), sites, [1e-1, 1e-4, 1e-12])))
+        assert [model.diagnostics.method for model in models] == [
+            "whitened-eig", "cholesky", "eig-pinv"]
+        assert peak <= 8 * 5 * m * m + 2**21
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_one_lambda_fit_resident_growth(self):
+        # the resident peak also counts numpy's LAPACK copy of the system,
+        # which tracemalloc does not see: 4 m^2 traced plus that copy, with
+        # room for allocator and BLAS buffer growth (7.3 m^2 before)
+        src = str(Path(sphfit.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", RSS_GROWTH_SCRIPT], env=env,
+                             check=True, capture_output=True, text=True).stdout
+        assert float(out) <= 6.0
 
 
 class TestValidationAndDiagnostics:
