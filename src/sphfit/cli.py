@@ -2,7 +2,9 @@
 
 Subcommands: gen-points, verify-design, gen-data, fit, simulate.
 Exit codes: 0 success, 1 design not certified (verify-design), 2 bad config
-or arguments, 3 missing or malformed data file, 4 numerical failure.
+or arguments, 3 missing or malformed data file or any other file system
+fault (a directory given as a file, an output path that cannot be created),
+4 numerical failure or a problem too large for the memory budget.
 """
 
 from __future__ import annotations
@@ -169,7 +171,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (PointFileError, FileNotFoundError) as exc:   # DesignNotFoundError too
+    except (PointFileError, OSError) as exc:     # DesignNotFoundError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING
     except (GridSearchError, MatrixSizeError, np.linalg.LinAlgError) as exc:

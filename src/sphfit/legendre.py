@@ -22,9 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels, points
 from .points import PointSet, _row_blocks
 
 DEFAULT_DESIGN_TOL = 1e-8
+
+# Peak bytes per entry of the (k_max + 1)^2 tables of harmonic_residuals: the
+# recurrence coefficients c and d, the complex sums and the squared moduli
+# (tracemalloc, t_max = 200 to 800).  The point blocks add at most two
+# ``points.BLOCK_BYTES``: a block's buffers are allocated while the previous
+# block's are still held.
+TABLE_BYTES_PER_ENTRY = 48
 
 
 def harmonic_residuals(xyz: np.ndarray, k_max: int) -> np.ndarray:
@@ -38,9 +46,18 @@ def harmonic_residuals(xyz: np.ndarray, k_max: int) -> np.ndarray:
     one step per degree, vectorized over m.  Every ``|q_k^m| <= 1``.  The
     sums run over blocks of points within ``points.BLOCK_BYTES``, in a fixed
     order, so results are run-to-run identical.
+
+    Raises :class:`~sphfit.kernels.MatrixSizeError` before allocating when
+    the tables and blocks would exceed ``kernels.DEFAULT_MEMORY_BUDGET``.
     """
     xyz = np.asarray(xyz, dtype=float)
     n, size = len(xyz), k_max + 1
+    need = TABLE_BYTES_PER_ENTRY * size * size + 2 * points.BLOCK_BYTES
+    budget = kernels.DEFAULT_MEMORY_BUDGET
+    if need > budget:
+        raise kernels.MatrixSizeError(
+            f"t_max = {k_max} needs {need} bytes ({need / 2**30:.2f} GiB) of harmonic-sum "
+            f"tables and point blocks, budget is {budget / 2**30:.2f} GiB")
     kk = np.arange(size, dtype=float)[:, None]
     mm = kk.T
     with np.errstate(invalid="ignore"):     # entries with m >= k go unused

@@ -18,7 +18,10 @@ the same estimator.  The rest go through a symmetric eigendecomposition
 pseudo-inverse, so that rank deficiency (tiny lam, clustered or duplicate
 centers) degrades gracefully instead of blowing up.  ``fit_full`` covers
 the classical m = N case through the equivalent system
-(K + lam * N * I) alpha = y.
+(K + lam * N * I) alpha = y: a Cholesky factorization certifies that it is
+numerically positive definite and an LU solve gives alpha, or the
+pseudo-inverse does when the factorization fails.  numpy.linalg is the
+only linear-algebra library, so one BLAS serves every fit.
 
 Working set.  ``Knm`` (N x m) is freed as soon as ``Knm^T Knm`` and every
 ``Knm^T y`` exist, and only then is ``Kmm`` built.  Each lam's system is
@@ -28,8 +31,9 @@ max(N m + m^2, 4 m^2) doubles, plus one kernel block (``BLOCK_BYTES``) and
 numpy's LAPACK copy of the system while it is factored.  A sweep of
 several lams also keeps the whitened basis, and the whitening holds two
 m x m products at once: max(N m + m^2, 5 m^2) doubles.  Each model adds
-its m coefficients.  ``fit_full`` holds its N x N system and scipy's
-factor of it, about 2 N^2 doubles (3 N^2 on its pseudo-inverse fallback).
+its m coefficients.  ``fit_full`` holds its N x N system and the factor
+that certifies it, 2 N^2 doubles (3 N^2 on its pseudo-inverse fallback),
+plus numpy's LAPACK copy of the system while it is factored and solved.
 """
 
 from __future__ import annotations
@@ -157,9 +161,7 @@ def _cholesky_inverse(a: np.ndarray) -> tuple[np.ndarray | None, float]:
     ``|a^-1|_2 = |L^-1|_2^2 <= |L^-1|_1 |L^-1|_inf`` and ``|a|_2 <= |a|_1``
     for symmetric a.  The factor is stored in ``a`` as soon as it exists
     and is inverted there, so at most two m x m arrays are held, plus
-    numpy's LAPACK copy of ``a`` during the factorization.  numpy.linalg
-    only: scipy's separately built BLAS would contend with numpy's for the
-    same cores.
+    numpy's LAPACK copy of ``a`` during the factorization.
     """
     a_norm = np.linalg.norm(a, 1)
     try:
@@ -319,13 +321,12 @@ def fit_full(kernel: KernelSpec, data: PointSet, values, lam: float) -> FittedMo
     """Fit with every data site as a center: (K + lam*N*I) alpha = y.
 
     Pure interpolation (lam = 0) is excluded; use a tiny lam like 1e-10 to
-    approach it.  Cholesky first; if the shifted matrix turns out to be
-    numerically indefinite anyway, fall back to the pseudo-inverse and
-    record that in the diagnostics.
+    approach it.  A Cholesky factorization certifies that the shifted
+    matrix is numerically positive definite, and an LU solve of it gives
+    the coefficients (method ``"cholesky"``, rank N).  If the factorization
+    fails, the shifted matrix is numerically indefinite: fall back to the
+    pseudo-inverse and record that in the diagnostics.
     """
-    # Imported here, its only use, so ``import sphfit`` loads no scipy.
-    import scipy.linalg
-
     y = _check_values(values, len(data))
     lam = float(lam)
     if not (np.isfinite(lam) and lam > 0):
@@ -336,12 +337,14 @@ def fit_full(kernel: KernelSpec, data: PointSet, values, lam: float) -> FittedMo
     shifted = gram(kernel, data)
     shifted[np.diag_indices(n)] += lam * n
     try:
-        coef = scipy.linalg.cho_solve(scipy.linalg.cho_factor(shifted, lower=True), y)
-        method, rank, threshold = "cholesky", n, 0.0
-    except scipy.linalg.LinAlgError:
+        np.linalg.cholesky(shifted)     # the certificate; the factor is not kept
+    except np.linalg.LinAlgError:
         w, v, threshold = _kept_eigenpairs(*np.linalg.eigh(shifted))
         coef = v @ ((v.T @ y) / w)
         method, rank = "eig-pinv", len(w)
+    else:
+        coef = np.linalg.solve(shifted, y)
+        method, rank, threshold = "cholesky", n, 0.0
     diag = SolveDiagnostics(method, rank, threshold,
                             residual_norm=float(np.linalg.norm(shifted @ coef - y)),
                             wall_time=time.perf_counter() - t0)

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -106,6 +107,28 @@ def test_non_finite_point_file_exits_3(tmp_path, capsys, argv):
     assert rc == 3
     assert "nan.txt:2: non-finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["verify-design", "--file", "{dir}", "--t-max", "3"], "{dir}"),
+    (["gen-points", "--kind", "spiral", "--n", "10", "--out", "{file}/x.txt"],
+     "{file}/x.txt"),
+    (["simulate", "--sim", "1", "--config", "{ini}", "--out-dir", "{file}"], "{file}"),
+], ids=["directory-as-file", "out-under-regular-file", "out-dir-is-regular-file"])
+def test_file_system_fault_exits_3(tmp_path, capsys, toy_ini, argv, path):
+    # an OS-level fault is a file fault, not exit 1 ("design not certified")
+    names = {"dir": tmp_path / "adir", "file": tmp_path / "afile", "ini": toy_ini}
+    names["dir"].mkdir()
+    names["file"].write_text("")
+    assert main([a.format(**names) for a in argv]) == 3
+    assert path.format(**names) in capsys.readouterr().err
+
+
+def test_verify_design_t_max_over_memory_budget_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(sphfit.kernels, "DEFAULT_MEMORY_BUDGET", 2**20)
+    rc = main(["verify-design", "--file", str(design_path(13)), "--t-max", "200"])
+    assert rc == 4
+    assert "t_max = 200 needs" in capsys.readouterr().err
 
 
 class TestGenData:
@@ -341,26 +364,48 @@ def test_simulate_repeated_cell_exits_2(tmp_path, capsys, line):
     assert not (tmp_path / "o" / "sim1.csv").exists()
 
 
-def test_import_loads_no_scipy():
-    # scipy is imported by fit_full alone, so design verification and the
-    # sketched fits start without it: a one-lam fit (its own Cholesky arm)
-    # and a two-lam sweep (the whitened arm) load none either
+# Runs every subcommand with scipy unimportable: sys.modules["scipy"] = None
+# makes any import of scipy raise ImportError.  Prints the exit codes.
+NO_SCIPY_SCRIPT = """\
+import sys
+sys.modules["scipy"] = None
+from pathlib import Path
+from sphfit.cli import main
+from sphfit.designs import design_path
+work, ini = Path(sys.argv[1]), sys.argv[2]
+fit = ["fit", "--train", str(design_path(9)), "--labels", str(work / "d.csv"),
+       "--kernel", "wendland", "--lambda", "1e-3"]
+commands = [
+    ["gen-points", "--kind", "spiral", "--n", "50", "--out", str(work / "s.txt")],
+    ["verify-design", "--file", str(design_path(5)), "--t-max", "5"],
+    ["gen-data", "--design", str(design_path(9)), "--target", "f2", "--delta", "0.1",
+     "--seed", "7", "--out", str(work / "d.csv")],
+    fit + ["--centers", str(design_path(5)), "--out", str(work / "sketched.txt")],
+    fit + ["--out", str(work / "full.txt")],
+] + [["simulate", "--sim", sim, "--config", ini, "--out-dir", str(work / "o")]
+     for sim in ("1", "2", "3")]
+print("exit codes:", [main(argv) for argv in commands])
+"""
+
+
+def test_import_loads_no_scipy(tmp_path, toy_ini):
+    # every subcommand, including the full fit (fit without --centers), runs
+    # on numpy alone
     src = str(Path(sphfit.__file__).resolve().parent.parent)
-    code = (
-        "import sys, numpy as np, sphfit, sphfit.cli\n"
-        "from sphfit import KernelSpec, load_design\n"
-        "from sphfit.solver import fit_sketched, fit_sketched_sweep\n"
-        "data = load_design(13); centers = data.take(np.arange(40)); y = data.xyz[:, 2]\n"
-        "one = fit_sketched(KernelSpec.wendland(), data, y, centers, 1e-3)\n"
-        "two = fit_sketched_sweep(KernelSpec.wendland(), data, [y], centers, [1e-3, 1e-4])[0]\n"
-        "assert [m.diagnostics.method for m in (one, *two)] == "
-        "['cholesky', 'whitened-eig', 'whitened-eig']\n"
-        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    run = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path), str(toy_ini)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == f"exit codes: {[0] * 8}", run.stdout + run.stderr
+
+
+def test_library_source_imports_no_scipy():
+    for path in Path(sphfit.__file__).resolve().parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            assert not any(n.split(".")[0] == "scipy" for n in names), path.name
 
 
 def test_simulate_identical_across_blas_thread_counts(tmp_path):

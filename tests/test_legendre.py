@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphfit import legendre, load_design, points
-from sphfit.legendre import harmonic_residuals, verify_design
+from sphfit import kernels, legendre, load_design, points
+from sphfit.kernels import MatrixSizeError
+from sphfit.legendre import TABLE_BYTES_PER_ENTRY, harmonic_residuals, verify_design
 from sphfit.points import PointSet, generate_spiral
 
-from conftest import random_unit_points
+from conftest import random_unit_points, traced_peak
 
 
 # The O(N^2 t) oracle: residuals as the double sum of P_k(x_i . x_j) over
@@ -243,3 +244,28 @@ class TestVerifyDesign:
         # a NaN or infinite tolerance would certify any point set
         with pytest.raises(ValueError, match="tolerance"):
             verify_design(generate_spiral(300), t_max=5, tol=tol)
+
+
+class TestMemoryBudget:
+    """The (t_max + 1)^2 tables are estimated before they are allocated."""
+
+    @staticmethod
+    def _need(t_max):
+        return TABLE_BYTES_PER_ENTRY * (t_max + 1) ** 2 + 2 * points.BLOCK_BYTES
+
+    @pytest.mark.parametrize("n", [94, 108, 2000])
+    @pytest.mark.parametrize("t_max", [50, 200])
+    def test_estimate_bounds_traced_peak(self, n, t_max):
+        # one block (94, 108 points) and several (2000) at either degree
+        xyz = generate_spiral(n).xyz
+        assert traced_peak(lambda: harmonic_residuals(xyz, t_max)) <= self._need(t_max)
+
+    def test_refused_above_budget_admitted_at_it(self, design13, monkeypatch):
+        monkeypatch.setattr(kernels, "DEFAULT_MEMORY_BUDGET", 2**20)
+        need = self._need(200)
+        with pytest.raises(MatrixSizeError, match=f"t_max = 200 needs {need} bytes"):
+            verify_design(design13, t_max=200)
+        with pytest.raises(MatrixSizeError, match="t_max = 200"):
+            harmonic_residuals(design13.xyz, 200)
+        monkeypatch.setattr(kernels, "DEFAULT_MEMORY_BUDGET", need)
+        assert verify_design(design13, t_max=200).max_verified_degree == 13

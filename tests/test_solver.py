@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -852,22 +851,23 @@ class TestValidationAndDiagnostics:
                              ids=["wendland", "gaussian"])
     def test_full_shifts_diagonal_in_place_bitwise(self, design13, kernel, monkeypatch):
         # no kernel entry is -0.0, so the in-place diagonal shift equals the
-        # former K + lam*N*I bit for bit
+        # former K + lam*N*I bit for bit; the Cholesky factorization only
+        # certifies that system, and the coefficients are its LU solve
         factored = []
-        cho_factor = scipy.linalg.cho_factor
-        monkeypatch.setattr(scipy.linalg, "cho_factor",
-                            lambda a, **kw: factored.append(a.copy()) or cho_factor(a, **kw))
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda a: factored.append(a.copy()) or cholesky(a))
         lam, n, y = 1e-3, len(design13), smooth_values(design13)
         model = fit_full(kernel, design13, y, lam)
         old = gram(kernel, design13) + (lam * n) * np.eye(n)
-        assert np.array_equal(factored[0], old)
-        ref = scipy.linalg.cho_solve(cho_factor(old, lower=True), y)
-        assert np.array_equal(model.coefficients, ref)
+        assert len(factored) == 1 and np.array_equal(factored[0], old)
+        assert model.diagnostics.method == "cholesky"
+        assert np.array_equal(model.coefficients, np.linalg.solve(old, y))
 
     def test_full_falls_back_to_pseudo_inverse(self, design13, monkeypatch):
-        def indefinite(*args, **kwargs):
-            raise scipy.linalg.LinAlgError("not positive definite")
-        monkeypatch.setattr(scipy.linalg, "cho_factor", indefinite)
+        def indefinite(a):
+            raise np.linalg.LinAlgError("not positive definite")
+        monkeypatch.setattr(np.linalg, "cholesky", indefinite)
         kernel, lam, n = KernelSpec.gaussian(0.5), 1e-2, len(design13)
         y = smooth_values(design13)
         model = fit_full(kernel, design13, y, lam)
@@ -877,6 +877,33 @@ class TestValidationAndDiagnostics:
         ref = np.linalg.solve(gram(kernel, design13) + (lam * n) * np.eye(n), y)
         assert np.linalg.norm(model.coefficients - ref) <= 1e-12 * np.linalg.norm(ref)
         assert d.residual_norm <= 1e-12 * np.linalg.norm(y)
+
+    @pytest.mark.parametrize("lam, method, rank", [
+        (1e-300, "eig-pinv", 94), (1e-20, "eig-pinv", 94), (1e-12, "cholesky", 99)])
+    @pytest.mark.parametrize("kernel", [KernelSpec.wendland(), KernelSpec.gaussian(0.5)],
+                             ids=["wendland", "gaussian"])
+    def test_full_duplicated_sites_pick_arm_unpatched(self, design13, kernel, lam,
+                                                      method, rank):
+        # the t = 13 design (94 sites) with 5 sites repeated: the shift alone
+        # separates the copies, so a tiny lam leaves K + lam*N*I numerically
+        # singular (the Cholesky certificate fails) and keeps the 94 distinct
+        # directions; at 1e-12 the system is certified and solved at full rank
+        sites = PointSet(np.vstack([design13.xyz, design13.xyz[:5]]))
+        y = smooth_values(sites)
+        model = fit_full(kernel, sites, y, lam)
+        assert (model.diagnostics.method, model.diagnostics.rank_used) == (method, rank)
+        assert model.diagnostics.residual_norm <= 1e-6 * np.linalg.norm(y)
+
+    def test_full_ill_conditioned_gaussian_falls_back_unpatched(self):
+        # Gaussian sigma = 1.0 on the t = 33 design at lam 1e-19: the
+        # certificate fails and the pseudo-inverse keeps 144 of 564
+        # eigenpairs; an LU solve of the same system alone scores 0.138
+        # against this 0.0073
+        sites, target = load_design(33), TargetFunction.by_name("f1")
+        model = fit_full(KernelSpec.gaussian(1.0), sites, target(sites), 1e-19)
+        assert (model.diagnostics.method, model.diagnostics.rank_used) == ("eig-pinv", 144)
+        grid = generate_spiral(3000)
+        assert rmse(model, grid, target(grid)) < 0.01
 
 
 class TestModelIO:

@@ -22,6 +22,8 @@ by its own recurrence rather than the scipy functions the solve uses.
 
 Usage:  python3 tools/generate_designs.py [--degrees 1,3,...,57] [--out DIR]
 
+Needs scipy, which the library itself does not: ``pip install -e '.[tools]'``.
+
 One-time maintenance script; the library itself only loads the files.
 """
 
