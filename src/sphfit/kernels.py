@@ -5,9 +5,11 @@ so every evaluation goes through the dot product (clamped to [-1, 1]) and
 ``||a - b||^2 = 2 - 2 a.b``; this makes zonality exact and avoids
 cancellation near coincident points.
 
-``DEFAULT_MEMORY_BUDGET`` bounds what a kernel matrix really allocates:
-:func:`cross_matrix` evaluates the kernel into its dot-product matrix one
-row block at a time, so it holds the output plus one block's temporaries.
+:func:`_check_budget` is the one check of ``DEFAULT_MEMORY_BUDGET``: kernel
+matrices, a sketched fit's m x m matrix and the harmonic sums pass it the
+bytes they are about to allocate.  :func:`cross_matrix` evaluates the kernel
+into its dot-product matrix one row block at a time, so it holds the output
+plus one block's temporaries.
 """
 
 from __future__ import annotations
@@ -120,11 +122,12 @@ def zonal_value(spec: KernelSpec, dot) -> np.ndarray:
     return out if out.ndim else out[()]
 
 
-def _check_budget(rows: int, cols: int):
-    need = rows * cols * 8
-    if need > DEFAULT_MEMORY_BUDGET:
+def _check_budget(nbytes: int, what: str):
+    """Raise :class:`MatrixSizeError` before `what` allocates `nbytes` bytes
+    beyond ``DEFAULT_MEMORY_BUDGET``."""
+    if nbytes > DEFAULT_MEMORY_BUDGET:
         raise MatrixSizeError(
-            f"{rows} x {cols} kernel matrix needs {need / 2**30:.2f} GiB, "
+            f"{what} needs {nbytes} bytes ({nbytes / 2**30:.2f} GiB), "
             f"budget is {DEFAULT_MEMORY_BUDGET / 2**30:.2f} GiB")
 
 
@@ -141,7 +144,7 @@ def cross_matrix(spec: KernelSpec, rows: PointSet, cols: PointSet) -> np.ndarray
     satisfies ``M == M.T`` bitwise.  (Blockwise products would not: they
     round the two triangles differently.)
     """
-    _check_budget(len(rows), len(cols))
+    _check_budget(8 * len(rows) * len(cols), f"{len(rows)} x {len(cols)} kernel matrix")
     out = rows.xyz @ cols.xyz.T
     for block in _row_blocks(len(rows), len(cols)):
         out[block] = zonal_value(spec, out[block])

@@ -27,12 +27,9 @@ from .points import PointSet, _row_blocks
 
 DEFAULT_DESIGN_TOL = 1e-8
 
-# Peak bytes per entry of the (k_max + 1)^2 tables of harmonic_residuals: the
-# recurrence coefficients c and d, the complex sums and the squared moduli
-# (tracemalloc, t_max = 200 to 800).  The point blocks add at most two
-# ``points.BLOCK_BYTES``: a block's buffers are allocated while the previous
-# block's are still held.
-TABLE_BYTES_PER_ENTRY = 48
+# Peak bytes per entry of the (k_max + 1)^2 arrays of harmonic_residuals: the
+# complex sums and their squared moduli (tracemalloc, t_max = 200 to 800).
+TABLE_BYTES_PER_ENTRY = 33
 
 
 def harmonic_residuals(xyz: np.ndarray, k_max: int) -> np.ndarray:
@@ -43,49 +40,44 @@ def harmonic_residuals(xyz: np.ndarray, k_max: int) -> np.ndarray:
 
         q_k^m = ((2k-1) z q_{k-1}^m - sqrt((k-1)^2 - m^2) q_{k-2}^m) / sqrt(k^2 - m^2),
 
-    one step per degree, vectorized over m.  Every ``|q_k^m| <= 1``.  The
-    sums run over blocks of points within ``points.BLOCK_BYTES``, in a fixed
-    order, so results are run-to-run identical.
+    one step per degree, vectorized over m < k.  Every ``|q_k^m| <= 1``.
+    The sums run over blocks of points within ``points.BLOCK_BYTES``, in a
+    fixed order, so results are run-to-run identical; one block's buffers
+    are held at a time.
 
     Raises :class:`~sphfit.kernels.MatrixSizeError` before allocating when
-    the tables and blocks would exceed ``kernels.DEFAULT_MEMORY_BUDGET``.
+    the sums and one block would exceed the memory budget.
     """
     xyz = np.asarray(xyz, dtype=float)
     n, size = len(xyz), k_max + 1
-    need = TABLE_BYTES_PER_ENTRY * size * size + 2 * points.BLOCK_BYTES
-    budget = kernels.DEFAULT_MEMORY_BUDGET
-    if need > budget:
-        raise kernels.MatrixSizeError(
-            f"t_max = {k_max} needs {need} bytes ({need / 2**30:.2f} GiB) of harmonic-sum "
-            f"tables and point blocks, budget is {budget / 2**30:.2f} GiB")
-    kk = np.arange(size, dtype=float)[:, None]
-    mm = kk.T
-    with np.errstate(invalid="ignore"):     # entries with m >= k go unused
-        c = np.sqrt((kk - 1) ** 2 - mm * mm)
-        d = np.sqrt(kk * kk - mm * mm)
+    # One point block holds 3 (k_max + 2) complex numbers per point: three
+    # buffers of k_max + 1, sized to fit BLOCK_BYTES, and three vectors.  A
+    # broadcast step over a block narrower than numpy's ufunc buffer also
+    # allocates that buffer.
+    block = points.BLOCK_BYTES * (size + 1) // size + 8 * np.getbufsize()
+    kernels._check_budget(TABLE_BYTES_PER_ENTRY * size * size + block, f"t_max = {k_max}")
+    m2 = np.arange(size) ** 2
     j = np.arange(1, size)
     diag_scale = np.sqrt((2 * j - 1) / (2 * j))
     sums = np.zeros((size, size), dtype=complex)            # S[k, m]
-    # Three complex (k_max + 1)-row work buffers per point.
     for rows in _row_blocks(n, 6 * size):
         x, y, z = xyz[rows].T
         z2 = np.repeat(z, 2)                # z against the (re, im) pairs
         w = x + 1j * y
-        diag = np.ones(len(z), dtype=complex)
         prev2, prev, tmp = (np.zeros((size, len(z)), dtype=complex) for _ in range(3))
         prev[0] = 1.0                       # q_0^0
         for k in range(1, size):
             # prev2 holds q_{k-2}^m for m <= k-2 and zeros above; it becomes q_k
             new, new_f = prev2[:k], prev2[:k].view(float)
-            new_f *= -c[k, :k, None]
+            new_f *= -np.sqrt((k - 1) ** 2 - m2[:k])[:, None]
             np.multiply(prev[:k].view(float), (2 * k - 1) * z2, out=tmp[:k].view(float))
             new += tmp[:k]
-            new_f /= d[k, :k, None]
-            diag *= w
-            diag *= diag_scale[k - 1]
-            prev2[k] = diag                 # q_k^k
+            new_f /= np.sqrt(k * k - m2[:k])[:, None]
+            np.multiply(prev[k - 1], w, out=prev2[k])   # q_k^k from q_{k-1}^{k-1}
+            prev2[k] *= diag_scale[k - 1]
             sums[k, :k + 1] += prev2[:k + 1].sum(axis=1)
             prev2, prev = prev, prev2
+        prev2 = prev = tmp = new = new_f = None  # freed before the next block's are made
     power = sums[1:].real ** 2 + sums[1:].imag ** 2
     return (power[:, 0] + 2.0 * power[:, 1:].sum(axis=1)) / n**2
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, cross_matrix, gram, zonal_value
+from .kernels import KernelSpec, _check_budget, cross_matrix, gram, zonal_value
 from .points import (PointFileError, PointSet, _data_lines, _number, _read_rows,
                      _row_blocks, _unit_points, _write_rows)
 
@@ -53,8 +53,8 @@ from .points import (PointFileError, PointSet, _data_lines, _number, _read_rows,
 # estimator and differ only by rounding, within m * eps * 1e8 relative (1e-6
 # at m = 48, the golden tests' tolerance).  The limit stays this strict rather
 # than rising to the Cholesky arm's: that would let the shared basis serve
-# lams whose rounding gap grows toward 1e-2, while a lam it rejects now costs
-# one Cholesky factorization, not an eigendecomposition.
+# lams whose rounding gap grows toward 1e-2, while a lam it rejects costs one
+# Cholesky factorization.
 WHITENED_COND_LIMIT = 1e8
 
 # A lam the whitening does not serve is solved by its own Cholesky factor when
@@ -265,6 +265,9 @@ def fit_sketched_sweep(kernel: KernelSpec, data: PointSet, label_sets,
     if any(not (np.isfinite(l) and l >= 0) for l in lams):
         raise ValueError("regularization values must be finite and >= 0")
 
+    # Knm^T Knm is m x m: with more centers than sites it outgrows Knm.
+    m = len(centers)
+    _check_budget(8 * m * m, f"{m} x {m} normal-equations matrix")
     t0 = time.perf_counter()
     knm = cross_matrix(kernel, data, centers)
     gtg = knm.T @ knm

@@ -131,6 +131,20 @@ def test_verify_design_t_max_over_memory_budget_exits_4(capsys, monkeypatch):
     assert "t_max = 200 needs" in capsys.readouterr().err
 
 
+def test_fit_centers_over_memory_budget_exits_4(tmp_path, capsys, monkeypatch):
+    # 156 centers on 12 sites: the 156 x 156 matrix, not the 12 x 156 kernel
+    # matrix, exceeds the budget
+    labels = tmp_path / "labels.txt"
+    labels.write_text("1.0\n" * 12)
+    monkeypatch.setattr(sphfit.kernels, "DEFAULT_MEMORY_BUDGET", 2**16)
+    rc = main(["fit", "--train", str(design_path(5)), "--labels", str(labels),
+               "--centers", str(design_path(17)), "--kernel", "wendland",
+               "--lambda", "0", "--out", str(tmp_path / "model.txt")])
+    assert rc == 4
+    assert "156 x 156 normal-equations matrix needs" in capsys.readouterr().err
+    assert not (tmp_path / "model.txt").exists()
+
+
 class TestGenData:
     def test_writes_dataset(self, tmp_path):
         out = tmp_path / "d.csv"

@@ -51,6 +51,42 @@ def _residual_sweep(xyz: np.ndarray, k_max: int) -> np.ndarray:
     return sums / n**2
 
 
+def table_residuals(xyz: np.ndarray, k_max: int) -> np.ndarray:
+    """The harmonic sums with the recurrence coefficients read from two
+    (k_max + 1)^2 tables, built once.  The bitwise oracle of
+    :func:`harmonic_residuals`, which computes them per degree."""
+    xyz = np.asarray(xyz, dtype=float)
+    n, size = len(xyz), k_max + 1
+    kk = np.arange(size, dtype=float)[:, None]
+    mm = kk.T
+    with np.errstate(invalid="ignore"):     # entries with m >= k go unused
+        c = np.sqrt((kk - 1) ** 2 - mm * mm)
+        d = np.sqrt(kk * kk - mm * mm)
+    j = np.arange(1, size)
+    diag_scale = np.sqrt((2 * j - 1) / (2 * j))
+    sums = np.zeros((size, size), dtype=complex)
+    for rows in points._row_blocks(n, 6 * size):
+        x, y, z = xyz[rows].T
+        z2 = np.repeat(z, 2)
+        w = x + 1j * y
+        diag = np.ones(len(z), dtype=complex)
+        prev2, prev, tmp = (np.zeros((size, len(z)), dtype=complex) for _ in range(3))
+        prev[0] = 1.0
+        for k in range(1, size):
+            new, new_f = prev2[:k], prev2[:k].view(float)
+            new_f *= -c[k, :k, None]
+            np.multiply(prev[:k].view(float), (2 * k - 1) * z2, out=tmp[:k].view(float))
+            new += tmp[:k]
+            new_f /= d[k, :k, None]
+            diag *= w
+            diag *= diag_scale[k - 1]
+            prev2[k] = diag
+            sums[k, :k + 1] += prev2[:k + 1].sum(axis=1)
+            prev2, prev = prev, prev2
+    power = sums[1:].real ** 2 + sums[1:].imag ** 2
+    return (power[:, 0] + 2.0 * power[:, 1:].sum(axis=1)) / n**2
+
+
 def design_residual(point_set: PointSet, k: int) -> float:
     """Double-sum residual at degree `k`, cancellation noise clamped to 0."""
     return max(float(_residual_sweep(point_set.xyz, k)[k - 1]), 0.0)
@@ -207,6 +243,24 @@ class TestHarmonicResiduals:
                                    rtol=1e-12, atol=1e-15)
 
 
+class TestAgainstCoefficientTables:
+    """Per-degree recurrence coefficients give the tables' residuals bit for bit."""
+
+    # "ragged-blocks" takes 7 points a block: 14 full blocks and a ragged one of 2.
+    @pytest.mark.parametrize("xyz, k_max, block_rows", [
+        (lambda: load_design(57).xyz, 57, None), (lambda: load_design(13).xyz, 40, None),
+        (lambda: generate_spiral(2000).xyz, 50, None),
+        (lambda: generate_spiral(300).xyz, 300, None),
+        (lambda: generate_spiral(100).xyz, 10, 7), (lambda: generate_spiral(10).xyz, 0, None)],
+        ids=["design57", "design13-t40", "spiral2000-t50", "spiral300-t300", "ragged-blocks",
+             "no-degree"])
+    def test_byte_equal(self, xyz, k_max, block_rows, monkeypatch):
+        if block_rows:
+            monkeypatch.setattr(points, "BLOCK_BYTES", block_rows * 8 * 6 * (k_max + 1))
+        xyz = xyz()
+        assert harmonic_residuals(xyz, k_max).tobytes() == table_residuals(xyz, k_max).tobytes()
+
+
 class TestVerifyDesign:
     def test_design13_verifies_exactly_13(self, design13):
         report = verify_design(design13, t_max=15)
@@ -247,11 +301,14 @@ class TestVerifyDesign:
 
 
 class TestMemoryBudget:
-    """The (t_max + 1)^2 tables are estimated before they are allocated."""
+    """The (t_max + 1)^2 sums and a point block are estimated before they are
+    allocated."""
 
     @staticmethod
     def _need(t_max):
-        return TABLE_BYTES_PER_ENTRY * (t_max + 1) ** 2 + 2 * points.BLOCK_BYTES
+        size = t_max + 1
+        return (TABLE_BYTES_PER_ENTRY * size * size + points.BLOCK_BYTES * (size + 1) // size
+                + 8 * np.getbufsize())
 
     @pytest.mark.parametrize("n", [94, 108, 2000])
     @pytest.mark.parametrize("t_max", [50, 200])
@@ -259,6 +316,14 @@ class TestMemoryBudget:
         # one block (94, 108 points) and several (2000) at either degree
         xyz = generate_spiral(n).xyz
         assert traced_peak(lambda: harmonic_residuals(xyz, t_max)) <= self._need(t_max)
+
+    def test_sums_are_the_only_tables(self):
+        # at t_max = 400 the (t_max + 1)^2 arrays set the peak: the complex
+        # sums and the two squares of their parts, 32 bytes an entry in all.
+        # Two coefficient tables would add 16 more.
+        xyz = generate_spiral(94).xyz
+        peak = traced_peak(lambda: harmonic_residuals(xyz, 400))
+        assert peak <= 32 * 401**2 + points.BLOCK_BYTES
 
     def test_refused_above_budget_admitted_at_it(self, design13, monkeypatch):
         monkeypatch.setattr(kernels, "DEFAULT_MEMORY_BUDGET", 2**20)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from sphfit.data import NoiseModel, TargetFunction, make_dataset, rmse
 from sphfit.designs import load_design
 from sphfit.harness import GridSpec, SketchMethod, select_sketch
-from sphfit.kernels import KernelSpec, cross_matrix, gram, zonal_value
+from sphfit.kernels import KernelSpec, MatrixSizeError, cross_matrix, gram, zonal_value
 from sphfit.points import PointSet, generate_spiral
 import sphfit
 import sphfit.points as points_mod
@@ -803,6 +803,20 @@ class TestWorkingSet:
         out = subprocess.run([sys.executable, "-c", RSS_GROWTH_SCRIPT], env=env,
                              check=True, capture_output=True, text=True).stdout
         assert float(out) <= 6.0
+
+    def test_more_centers_than_sites_refused_before_allocating(self, monkeypatch):
+        # N = 12 sites, m = 156 centers: Knm (15 KB) is within a 64 KiB
+        # budget, Knm^T Knm (195 KB) is not, and nothing that size is built
+        data, centers = load_design(5), load_design(17)
+        budget = 2**16
+        monkeypatch.setattr(sphfit.kernels, "DEFAULT_MEMORY_BUDGET", budget)
+
+        def fit():
+            with pytest.raises(MatrixSizeError, match="156 x 156 normal-equations "
+                                                      f"matrix needs {8 * 156**2} bytes"):
+                fit_sketched(KernelSpec.wendland(), data, smooth_values(data), centers, 0.0)
+
+        assert traced_peak(fit) <= budget + 2**14
 
 
 class TestValidationAndDiagnostics:
