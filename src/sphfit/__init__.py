@@ -13,17 +13,16 @@ from .data import (Dataset, NoiseModel, TargetFunction, franke_f1,
                    save_dataset, wendland_target_f2)
 from .designs import available_degrees, design_path, load_design
 from .harness import (ExperimentConfig, GridSpec, ResultRow, SketchMethod,
-                      grid_search, grid_search_multi, parse_config,
-                      run_simulation1, run_simulation2, run_simulation3,
-                      select_sketch)
+                      grid_search, parse_config, run_simulation1,
+                      run_simulation2, run_simulation3, select_sketch)
 from .kernels import KernelSpec, cross_matrix, gram
 from .legendre import DesignReport, harmonic_residuals, verify_design
 from .points import (PointSet, eq_area_centers, generate_spiral,
                      load_point_file, mesh_norm, save_point_file,
                      separation_radius)
 from .solver import (FittedModel, SolveDiagnostics, fit_full, fit_sketched,
-                     fit_sketched_multi, fit_sketched_sweep, load_model,
-                     predict, rmse_sweep, save_model)
+                     fit_sketched_multi, load_model, predict, rmse_sweep,
+                     save_model)
 
 __version__ = "0.1.0"
 
@@ -33,15 +32,13 @@ __all__ = [
     "wendland_target_f2",
     "available_degrees", "design_path", "load_design",
     "ExperimentConfig", "GridSpec", "ResultRow", "SketchMethod",
-    "grid_search", "grid_search_multi", "parse_config", "run_simulation1",
-    "run_simulation2",
+    "grid_search", "parse_config", "run_simulation1", "run_simulation2",
     "run_simulation3", "select_sketch",
     "KernelSpec", "cross_matrix", "gram",
     "DesignReport", "harmonic_residuals", "verify_design",
     "PointSet", "eq_area_centers", "generate_spiral", "load_point_file",
     "mesh_norm", "save_point_file", "separation_radius",
     "FittedModel", "SolveDiagnostics", "fit_full", "fit_sketched",
-    "fit_sketched_multi", "fit_sketched_sweep", "load_model", "predict",
-    "rmse_sweep", "save_model",
+    "fit_sketched_multi", "load_model", "predict", "rmse_sweep", "save_model",
     "__version__",
 ]

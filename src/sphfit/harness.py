@@ -4,6 +4,9 @@ Simulation 1 sweeps the design degree s* for several noise levels with
 design sketching.  Simulation 2 compares the three sketching methods
 (first-m, random-m, design) at matched sketch sizes across noise levels.
 Simulation 3 exports a dense pointwise error field for one fitted model.
+Every simulation reaches its fits through one function, :func:`grid_search`,
+which searches the (lambda, sigma) grid for several datasets on one training
+set, such as the noise levels of a simulation.
 
 Seeding policy: one base seed drives everything.  Training noise uses the
 base seed itself for every noise level, so noise draws are proportional
@@ -26,7 +29,7 @@ from .designs import load_design
 from .kernels import KernelSpec
 from .points import (PointFileError, PointSet, _data_lines, _number, _split_rows,
                      _write_rows, generate_spiral)
-from .solver import FittedModel, fit_sketched_sweep, predict, rmse_sweep
+from .solver import FittedModel, fit_sketched_multi, predict, rmse_sweep
 
 DESK_SCALE_DEGREE = 57
 
@@ -92,14 +95,6 @@ class GridSpec:
         if target_name == "f2":
             return cls(lambda_grid(1.5), None)
         raise ConfigError(f"unknown target {target_name!r}")
-
-
-def kernel_for(target_name: str, sigma: float | None) -> KernelSpec:
-    if target_name == "f1":
-        if sigma is None:
-            raise ConfigError("f1 uses the Gaussian kernel; sigma required")
-        return KernelSpec.gaussian(sigma)
-    return KernelSpec.wendland()
 
 
 # -- sketch selection -------------------------------------------------------
@@ -182,37 +177,30 @@ class ResultRow:
             raise ValueError("rmse must be >= 0")
 
 
-def grid_search(data: Dataset, test: tuple[PointSet, np.ndarray],
+def grid_search(datasets: list[Dataset], test: tuple[PointSet, np.ndarray],
                 method: SketchMethod, grid: GridSpec,
-                s_star: int | None = None) -> ResultRow:
-    """Exhaustive (lambda, sigma) search minimizing test RMSE.
-
-    Ties are broken toward larger lambda, then larger sigma.  Cells whose
-    solve raises a numerical error are skipped; if every cell fails a
-    :class:`GridSearchError` carries the collected messages.  The row
-    reports the selected model as the sweep scored it; ``fit_seconds`` is
-    that model's ``diagnostics.wall_time``.
-
-    ``s_star`` labels the row; for design sketching it defaults to the
-    method's own degree.
-    """
-    return grid_search_multi([data], test, method, grid, s_star)[0]
-
-
-def grid_search_multi(datasets: list[Dataset], test: tuple[PointSet, np.ndarray],
-                      method: SketchMethod, grid: GridSpec,
-                      s_star: int | None = None) -> list[ResultRow]:
-    """:func:`grid_search` for several label sets on one training input set.
+                s_star: int | None = None) -> list[ResultRow]:
+    """Exhaustive (lambda, sigma) search minimizing test RMSE, one row per
+    dataset.
 
     The datasets (for example one per noise level) must share the same
     ``inputs`` object and target.  They are fitted from one
-    :func:`fit_sketched_sweep` per sigma, so each lambda's decomposition is
+    :func:`fit_sketched_multi` per sigma, so each lambda's decomposition is
     computed once for all of them.  Then one :func:`rmse_sweep` scores every
     model of every sigma in one pass over the test grid: each test block's
     dot product is built once, and each sigma's kernel is evaluated on it
-    once.  Each row is the one :func:`grid_search` gives for its dataset
-    alone, but for GEMM rounding: an RMSE may differ at about 1e-14
-    relative, and so may a choice between cells that close.
+    once.  Each row is the one a search of its dataset alone gives, but for
+    GEMM rounding: an RMSE may differ at about 1e-14 relative, and so may a
+    choice between cells that close.
+
+    Ties are broken toward larger lambda, then larger sigma.  A sigma whose
+    fit raises a numerical error is skipped; if every cell fails for some
+    dataset a :class:`GridSearchError` carries the collected messages.  A
+    row reports the selected model as the sweep scored it; ``fit_seconds``
+    is that model's ``diagnostics.wall_time``.
+
+    ``s_star`` labels the rows; for design sketching it defaults to the
+    method's own degree.
     """
     return [row for row, _ in _search(datasets, test, method, grid, s_star)]
 
@@ -220,12 +208,13 @@ def grid_search_multi(datasets: list[Dataset], test: tuple[PointSet, np.ndarray]
 def _search(datasets: list[Dataset], test: tuple[PointSet, np.ndarray],
             method: SketchMethod, grid: GridSpec,
             s_star: int | None) -> list[tuple[ResultRow, FittedModel]]:
-    """The grid search behind :func:`grid_search_multi`: each dataset's row
+    """The grid search behind :func:`grid_search`: each dataset's row
     together with the model it selected."""
     if not datasets:
         raise ValueError("grid search needs at least one dataset")
     inputs, target_name = datasets[0].inputs, datasets[0].target.name
-    # The search reads the target only through its name (kernel and row label).
+    # The search reads the target only through its name, for the row label;
+    # the grid's sigmas alone choose the kernel.
     if any(d.inputs is not inputs or d.target.name != target_name for d in datasets):
         raise ValueError("datasets of one grid search must share their inputs and target")
     test_points, test_labels = test
@@ -240,9 +229,9 @@ def _search(datasets: list[Dataset], test: tuple[PointSet, np.ndarray],
     models, owners = [], []     # owners[i] is the index of models[i]'s dataset
     failures = []
     for sigma in (grid.sigmas if grid.sigmas is not None else (None,)):
-        kernel = kernel_for(target_name, sigma)
+        kernel = KernelSpec.wendland() if sigma is None else KernelSpec.gaussian(sigma)
         try:
-            sweeps = fit_sketched_sweep(kernel, inputs, [d.labels for d in datasets],
+            sweeps = fit_sketched_multi(kernel, inputs, [d.labels for d in datasets],
                                         centers, grid.lambdas)
         except (np.linalg.LinAlgError, ValueError) as exc:
             failures.append(f"sigma={sigma}: {exc}")
@@ -425,7 +414,7 @@ def _dataset(training, target, delta, cfg) -> Dataset:
 def _grid_groups(cfg: ExperimentConfig, training, target,
                  deltas) -> list[tuple[GridSpec, list[Dataset]]]:
     """One dataset per noise level, grouped by search grid.  Every dataset
-    shares the ``training`` object, so a group is one grid_search_multi."""
+    shares the ``training`` object, so a group is one :func:`grid_search`."""
     groups: dict[GridSpec, list[Dataset]] = {}
     for delta in deltas:
         grid = GridSpec.for_target(cfg.target, noisy=delta > 0)
@@ -445,7 +434,7 @@ def run_simulation1(cfg: ExperimentConfig) -> list[ResultRow]:
     for grid, datasets in _grid_groups(cfg, training, target, cfg.sim1_deltas()):
         for s_star in cfg.sim1_s_stars():
             method = SketchMethod.design(s_star, cfg.design_dir)
-            rows += grid_search_multi(datasets, test, method, grid)
+            rows += grid_search(datasets, test, method, grid)
     return sort_rows(rows)
 
 
@@ -462,15 +451,15 @@ def run_simulation2(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[tuple[
     for grid, datasets in _grid_groups(cfg, training, target, cfg.sim2_deltas()):
         for s_star in cfg.sim2_s_stars():
             design_method = SketchMethod.design(s_star, cfg.design_dir)
-            design_rows = grid_search_multi(datasets, test, design_method, grid)
+            design_rows = grid_search(datasets, test, design_method, grid)
             m = design_rows[0].m    # matched sketch size for all three methods
 
-            first_rows = grid_search_multi(
+            first_rows = grid_search(
                 datasets, test, SketchMethod.first(m), grid, s_star=s_star)
 
             seeds = [cfg.base_seed + 1 + i for i in range(cfg.n_seeds)]
-            seed_rows = [grid_search_multi(datasets, test, SketchMethod.random(m, seed),
-                                           grid, s_star=s_star) for seed in seeds]
+            seed_rows = [grid_search(datasets, test, SketchMethod.random(m, seed),
+                                     grid, s_star=s_star) for seed in seeds]
             # seed_rows[i][k] is seed i on dataset k
             for k, (first_row, design_row) in enumerate(zip(first_rows, design_rows)):
                 per_seed = [rows[k] for rows in seed_rows]

@@ -6,7 +6,7 @@ so every evaluation goes through the dot product (clamped to [-1, 1]) and
 cancellation near coincident points.
 
 :func:`_check_budget` is the one check of ``DEFAULT_MEMORY_BUDGET``: kernel
-matrices, a sketched fit's m x m matrix and the harmonic sums pass it the
+matrices, the harmonic sums and the working set of each fit pass it the
 bytes they are about to allocate.  :func:`cross_matrix` evaluates the kernel
 into its dot-product matrix one row block at a time, so it holds the output
 plus one block's temporaries.

@@ -9,9 +9,11 @@ Restricting the representer expansion to C gives the m x m normal equations
 
     (Knm^T Knm + lam * N * Kmm) alpha = Knm^T y .
 
-A sweep over several lams decomposes the whitened system once and solves
-every well-conditioned lam from it (Nystrom kernel ridge regression, Rudi,
-Camoriano & Rosasco 2015).  Any other lam, and a single-lam fit, is solved
+``fit_sketched_multi`` is the one sketched fit: it fits several label sets
+on one input set at several lams, and ``fit_sketched`` is its call for one
+label set and one lam.  A sweep over several lams decomposes the whitened
+system once and solves every well-conditioned lam from it (Nystrom kernel
+ridge regression, Rudi, Camoriano & Rosasco 2015).  Any other lam, and a single-lam fit, is solved
 by its own Cholesky factor when a rigorous bound on its condition number
 proves that the pseudo-inverse below would drop no eigenvalue, so both give
 the same estimator.  The rest go through a symmetric eigendecomposition
@@ -34,6 +36,8 @@ m x m products at once: max(N m + m^2, 5 m^2) doubles.  Each model adds
 its m coefficients.  ``fit_full`` holds its N x N system and the factor
 that certifies it, 2 N^2 doubles (3 N^2 on its pseudo-inverse fallback),
 plus numpy's LAPACK copy of the system while it is factored and solved.
+Each fit checks these doubles (3 N^2 for ``fit_full``) against the memory
+budget before it allocates anything.
 """
 
 from __future__ import annotations
@@ -235,7 +239,7 @@ def _check_values(values, n: int) -> np.ndarray:
     return y
 
 
-def fit_sketched_sweep(kernel: KernelSpec, data: PointSet, label_sets,
+def fit_sketched_multi(kernel: KernelSpec, data: PointSet, label_sets,
                        centers: PointSet, lams) -> list[list[FittedModel]]:
     """Fit every (label set, lam) pair on one input set, sharing all the work
     that does not depend on the labels.
@@ -251,23 +255,27 @@ def fit_sketched_sweep(kernel: KernelSpec, data: PointSet, label_sets,
     ``(1, L^-T, L^-1 b)`` (``"cholesky"``) when the bound kappa on
     ``cond_2(A)`` is at most ``1 / (CHOLESKY_MARGIN * m * eps)``; failing
     that, the kept eigenpairs of ``A`` and ``c = V^T b`` (``"eig-pinv"``).
-    Such a lam is solved bit for bit as a separate :func:`fit_sketched`
-    call solves it.  Returns one list of models per label set, in ``lams``
-    order.  Each ``wall_time`` is the whole assembly, the whole
-    decomposition its lam used (a rejected Cholesky attempt included) and
-    its own solve.
+    Such a lam is solved bit for bit as a one-lam sweep solves it.  Returns
+    one list of models per label set, in ``lams`` order.  Each
+    ``wall_time`` is the whole assembly, the whole decomposition its lam
+    used (a rejected Cholesky attempt included) and its own solve.  The
+    whole working set (module docstring) is checked against the memory
+    budget before anything is allocated.
     """
     n = len(data)
     ys = [_check_values(values, n) for values in label_sets]
     if not ys:
-        raise ValueError("fit_sketched_sweep needs at least one label set")
+        raise ValueError("fit_sketched_multi needs at least one label set")
     lams = [float(l) for l in lams]
     if any(not (np.isfinite(l) and l >= 0) for l in lams):
         raise ValueError("regularization values must be finite and >= 0")
 
-    # Knm^T Knm is m x m: with more centers than sites it outgrows Knm.
     m = len(centers)
-    _check_budget(8 * m * m, f"{m} x {m} normal-equations matrix")
+    # the working set of the module docstring; a sweep's whitening holds one
+    # more m x m matrix than a one-lam solve
+    squares = 4 if len(lams) == 1 else 5
+    _check_budget(8 * max(n * m + m * m, squares * m * m),
+                  f"sketched fit of {n} sites on {m} centers")
     t0 = time.perf_counter()
     knm = cross_matrix(kernel, data, centers)
     gtg = knm.T @ knm
@@ -307,17 +315,10 @@ def fit_sketched_sweep(kernel: KernelSpec, data: PointSet, label_sets,
     return models
 
 
-def fit_sketched_multi(kernel: KernelSpec, data: PointSet, values,
-                       centers: PointSet, lams) -> list[FittedModel]:
-    """Fit one model per regularization value: :func:`fit_sketched_sweep`
-    with a single label set."""
-    return fit_sketched_sweep(kernel, data, [values], centers, lams)[0]
-
-
 def fit_sketched(kernel: KernelSpec, data: PointSet, values,
                  centers: PointSet, lam: float) -> FittedModel:
     """Fit with centers restricted to ``centers`` (the sketched system)."""
-    return fit_sketched_multi(kernel, data, values, centers, [lam])[0]
+    return fit_sketched_multi(kernel, data, [values], centers, [lam])[0][0]
 
 
 def fit_full(kernel: KernelSpec, data: PointSet, values, lam: float) -> FittedModel:
@@ -328,13 +329,16 @@ def fit_full(kernel: KernelSpec, data: PointSet, values, lam: float) -> FittedMo
     matrix is numerically positive definite, and an LU solve of it gives
     the coefficients (method ``"cholesky"``, rank N).  If the factorization
     fails, the shifted matrix is numerically indefinite: fall back to the
-    pseudo-inverse and record that in the diagnostics.
+    pseudo-inverse and record that in the diagnostics.  The working set of
+    the fallback (module docstring) is checked against the memory budget
+    before anything is allocated.
     """
     y = _check_values(values, len(data))
     lam = float(lam)
     if not (np.isfinite(lam) and lam > 0):
         raise ValueError("fit_full needs lam > 0")
     n = len(data)
+    _check_budget(8 * 3 * n * n, f"full fit of {n} sites")
     t0 = time.perf_counter()
     # In place: adding +0.0 off the diagonal would change no entry (none is -0.0).
     shifted = gram(kernel, data)
@@ -398,7 +402,7 @@ def rmse_sweep(models: list[FittedModel], points: PointSet, labels) -> np.ndarra
     one pass over the test points and no (models x points) array.
 
     The models must share one center set (the same object, as
-    :func:`fit_sketched_sweep` returns them); their kernels may differ.
+    :func:`fit_sketched_multi` returns them); their kernels may differ.
     Each prediction is within ``4 * m * eps * (|K| @ |alpha|)`` entrywise of
     the model's own product ``K @ alpha`` (m centers), also when models are
     added or reordered, and the squared residuals are summed block by

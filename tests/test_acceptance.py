@@ -17,7 +17,7 @@ from sphfit.cli import main as cli_main
 from sphfit.data import (NoiseModel, TargetFunction, make_dataset, rmse,
                          sample_truncated_gaussian)
 from sphfit.designs import load_design
-from sphfit.harness import GridSpec, SketchMethod, grid_search_multi
+from sphfit.harness import GridSpec, SketchMethod, grid_search
 from sphfit.kernels import KernelSpec, cross_matrix, gram
 from sphfit.legendre import verify_design
 from sphfit.points import PointSet, generate_spiral
@@ -59,8 +59,8 @@ class DeskBench:
         if (delta, method) not in self._rows:
             grids = {GridSpec.for_target("f2", noisy=d > 0) for d in DESK_DELTAS}
             assert len(grids) == 1      # the f2 grid does not depend on the noise
-            rows = grid_search_multi([self.dataset(d) for d in DESK_DELTAS],
-                                     self.test, method, grids.pop(), s_star=s_star)
+            rows = grid_search([self.dataset(d) for d in DESK_DELTAS],
+                               self.test, method, grids.pop(), s_star=s_star)
             self._rows.update({(d, method): row for d, row in zip(DESK_DELTAS, rows)})
         return self._rows[(delta, method)]
 
@@ -206,7 +206,7 @@ def test_08_solver_property_suite():
     checks = {}
 
     lams = [1e-6, 1e-4, 1e-2, 1.0]
-    models = fit_sketched_multi(kernel, training, y, centers, lams)
+    models = fit_sketched_multi(kernel, training, [y], centers, lams)[0]
     norms = [float(m.coefficients @ kmm @ m.coefficients) for m in models]
     checks["shrinkage"] = all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
 

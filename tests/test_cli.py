@@ -141,7 +141,7 @@ def test_fit_centers_over_memory_budget_exits_4(tmp_path, capsys, monkeypatch):
                "--centers", str(design_path(17)), "--kernel", "wendland",
                "--lambda", "0", "--out", str(tmp_path / "model.txt")])
     assert rc == 4
-    assert "156 x 156 normal-equations matrix needs" in capsys.readouterr().err
+    assert "sketched fit of 12 sites on 156 centers needs" in capsys.readouterr().err
     assert not (tmp_path / "model.txt").exists()
 
 

@@ -8,15 +8,15 @@ from sphfit.data import Dataset, NoiseModel, TargetFunction, make_dataset, rmse
 from sphfit.designs import load_design
 from sphfit.harness import (SIM1_DELTAS, SIM2_S_STARS, ConfigError,
                             ExperimentConfig, GridSearchError, GridSpec,
-                            ResultRow, SketchMethod, grid_search,
-                            grid_search_multi, kernel_for,
-                            lambda_grid, parse_config, read_results_csv,
+                            ResultRow, SketchMethod, grid_search, lambda_grid,
+                            parse_config, read_results_csv,
                             run_simulation1, run_simulation2, run_simulation3,
                             select_sketch, sigma_grid, sort_rows,
                             write_field_csv, write_results_csv,
                             write_seed_detail_csv)
 from sphfit.kernels import KernelSpec
 from sphfit.points import generate_spiral
+import sphfit.harness as harness_mod
 import sphfit.points as points_mod
 import sphfit.solver as solver_mod
 from sphfit.solver import WHITENED_COND_LIMIT, fit_sketched
@@ -116,12 +116,6 @@ class TestGrids:
         with pytest.raises(ConfigError):
             GridSpec.for_target("f9", noisy=True)
 
-    def test_kernel_for(self):
-        assert kernel_for("f1", 0.3).kind == "gaussian"
-        assert kernel_for("f2", None).kind == "wendland"
-        with pytest.raises(ConfigError, match="sigma"):
-            kernel_for("f1", None)
-
 
 class TestSketchSelection:
     def test_first_takes_file_order(self, design13):
@@ -192,8 +186,8 @@ class TestGridSearch:
                        TargetFunction.by_name("f1"), NoiseModel(0.0, seed=1))
         test = generate_spiral(50)
         grid = GridSpec(lambdas=(1.0, 0.5, 0.25), sigmas=(0.1, 0.2, 0.4))
-        row = grid_search(data, (test, np.zeros(50)),
-                          SketchMethod.first(10), grid, s_star=13)
+        [row] = grid_search([data], (test, np.zeros(50)),
+                            SketchMethod.first(10), grid, s_star=13)
         assert row.lam == 1.0
         assert row.sigma == 0.4
         assert row.rmse == 0.0
@@ -203,16 +197,16 @@ class TestGridSearch:
                             NoiseModel(0.0, seed=1))
         test = generate_spiral(50)
         with pytest.raises(ValueError, match="s_star label"):
-            grid_search(data, (test, np.zeros(50)), SketchMethod.first(10),
+            grid_search([data], (test, np.zeros(50)), SketchMethod.first(10),
                         GridSpec(lambdas=(1.0,)))
 
     def test_design_row_shape(self, design13):
         target = TargetFunction.by_name("f2")
         data = make_dataset(design13, target, NoiseModel(0.0, seed=1))
         test_pts = generate_spiral(200)
-        row = grid_search(data, (test_pts, target(test_pts)),
-                          SketchMethod.design(9),
-                          GridSpec(lambdas=(1e-4, 1e-6, 1e-8)))
+        [row] = grid_search([data], (test_pts, target(test_pts)),
+                            SketchMethod.design(9),
+                            GridSpec(lambdas=(1e-4, 1e-6, 1e-8)))
         assert row.method == "design"
         assert row.s_star == 9
         assert row.m == 48
@@ -234,12 +228,12 @@ class TestGridSearch:
         best = None
         for sigma in grid.sigmas:
             for lam in grid.lambdas:
-                model = fit_sketched(kernel_for("f1", sigma), data.inputs,
+                model = fit_sketched(KernelSpec.gaussian(sigma), data.inputs,
                                      data.labels, centers, lam)
                 key = (rmse(model, test_pts, test_labels), -lam, -sigma)
                 best = key if best is None else min(best, key)
-        row = grid_search(data, (test_pts, test_labels), SketchMethod.first(10),
-                          grid, s_star=13)
+        [row] = grid_search([data], (test_pts, test_labels), SketchMethod.first(10),
+                            grid, s_star=13)
         assert row.lam == -best[1]
         assert row.sigma == -best[2]
         # fit_sketched solves one lam by its own Cholesky factor or
@@ -261,8 +255,8 @@ class TestGridSearch:
         # blocks of 64 rows: four full ones and a ragged last one of 44
         monkeypatch.setattr(points_mod, "BLOCK_BYTES", 8 * 10 * 64)
         calls = spy_test_kernels(monkeypatch)
-        grid_search(data, (test_pts, target(test_pts)), method, grid, s_star=13)
-        kernels = [kernel_for("f1", sigma) for sigma in grid.sigmas]
+        grid_search([data], (test_pts, target(test_pts)), method, grid, s_star=13)
+        kernels = [KernelSpec.gaussian(sigma) for sigma in grid.sigmas]
         blocks = blocks_of(calls)
         assert [len(dot) for dot, _ in blocks] == [64, 64, 64, 64, 44]
         assert all(specs == kernels for _, specs in blocks)
@@ -273,11 +267,13 @@ class TestGridSearch:
                       TargetFunction.by_name("f2"), NoiseModel(0.0, seed=1))
         test = generate_spiral(50)
         with pytest.raises(GridSearchError, match="all grid cells failed"):
-            grid_search(bad, (test, np.zeros(50)), SketchMethod.design(9),
+            grid_search([bad], (test, np.zeros(50)), SketchMethod.design(9),
                         GridSpec(lambdas=(1e-3,)))
 
 
 class TestGridSearchMulti:
+    """grid_search over several datasets on one training set."""
+
     @pytest.mark.parametrize("target_name, method, grid", [
         ("f1", SketchMethod.first(20),
          GridSpec(lambdas=(1e-2, 1e-4, 1e-6, 1e-8), sigmas=(0.2, 0.5, 1.0))),
@@ -289,8 +285,8 @@ class TestGridSearchMulti:
                     for delta in (0.0, 0.01, 0.1)]
         test_pts = generate_spiral(300)
         test = (test_pts, target(test_pts))
-        rows = grid_search_multi(datasets, test, method, grid, s_star=9)
-        singles = [grid_search(d, test, method, grid, s_star=9) for d in datasets]
+        rows = grid_search(datasets, test, method, grid, s_star=9)
+        singles = [grid_search([d], test, method, grid, s_star=9)[0] for d in datasets]
         assert [r.delta for r in rows] == [0.0, 0.01, 0.1]
         assert all(r.fit_seconds > 0 for r in rows)
         # The selection is identical.  The RMSE is not bitwise: the sweep
@@ -308,18 +304,18 @@ class TestGridSearchMulti:
         b = make_dataset(copy, target, NoiseModel(0.1, seed=1))
         test = generate_spiral(50)
         with pytest.raises(ValueError, match="share their inputs"):
-            grid_search_multi([a, b], (test, np.zeros(50)), SketchMethod.design(9),
-                              GridSpec(lambdas=(1e-3,)))
+            grid_search([a, b], (test, np.zeros(50)), SketchMethod.design(9),
+                        GridSpec(lambdas=(1e-3,)))
 
     def test_rejects_mixed_targets_and_empty_list(self, design13):
         a = make_dataset(design13, TargetFunction.by_name("f1"), NoiseModel(0.0, seed=1))
         b = make_dataset(design13, TargetFunction.by_name("f2"), NoiseModel(0.0, seed=1))
         test = (generate_spiral(50), np.zeros(50))
         with pytest.raises(ValueError, match="target"):
-            grid_search_multi([a, b], test, SketchMethod.design(9),
-                              GridSpec(lambdas=(1e-3,), sigmas=(0.5,)))
+            grid_search([a, b], test, SketchMethod.design(9),
+                        GridSpec(lambdas=(1e-3,), sigmas=(0.5,)))
         with pytest.raises(ValueError, match="at least one dataset"):
-            grid_search_multi([], test, SketchMethod.design(9), GridSpec(lambdas=(1e-3,)))
+            grid_search([], test, SketchMethod.design(9), GridSpec(lambdas=(1e-3,)))
 
 
 class TestConfig:
@@ -524,6 +520,37 @@ class TestSimulations:
         test_pts = generate_spiral(cfg.n_test)
         assert_tiles_test_grid(blocks[:4], test_pts, load_design(5))
         assert_tiles_test_grid(blocks[4:], test_pts, load_design(9))
+
+    @pytest.mark.parametrize("overrides, sim1_calls, sim2_calls", [
+        # f2: both deltas share the one Wendland grid; one sweep per search
+        ({}, (2, 2), (10, 10)),
+        # f1: the clean and the noisy delta search separate grids, each of
+        # 10 sigmas and one sweep per sigma
+        ({"target": "f1", "s_stars": (5,), "n_seeds": 2}, (2, 20), (8, 80)),
+    ], ids=["f2", "f1"])
+    def test_simulations_reach_the_traced_names(self, monkeypatch, overrides,
+                                                sim1_calls, sim2_calls):
+        # The benchmark trace wraps harness.grid_search and
+        # solver.fit_sketched_multi, so every fit of a simulation must go
+        # through those two names.  sim1 searches once per (grid group, s*);
+        # sim2 once per (grid group, s*) for design, first and each seed.
+        counts = {}
+
+        def counting(name):
+            real = getattr(harness_mod, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("grid_search", "fit_sketched_multi"):
+            monkeypatch.setattr(harness_mod, name, counting(name))
+        cfg = toy_config(**overrides)
+        for run, expected in ((run_simulation1, sim1_calls), (run_simulation2, sim2_calls)):
+            counts.update(grid_search=0, fit_sketched_multi=0)
+            run(cfg)
+            assert (counts["grid_search"], counts["fit_sketched_multi"]) == expected
 
     def test_sim2_deterministic(self):
         cfg = toy_config(deltas=(0.1,), s_stars=(5,), n_seeds=2, n_test=100, t=5)

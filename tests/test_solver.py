@@ -20,8 +20,7 @@ import sphfit.points as points_mod
 import sphfit.solver as solver_mod
 from sphfit.solver import (CHOLESKY_MARGIN, WHITENED_COND_LIMIT, FittedModel,
                            fit_full, fit_sketched, fit_sketched_multi,
-                           fit_sketched_sweep, load_model, predict, rmse_sweep,
-                           save_model)
+                           load_model, predict, rmse_sweep, save_model)
 
 from conftest import random_unit_points, traced_peak
 
@@ -109,7 +108,7 @@ class TestSolutionProperties:
         centers = design13.take(np.arange(0, len(design13), 2))
         kmm = gram(KernelSpec.wendland(), centers)
         lams = [1e-6, 1e-4, 1e-2, 1.0, 100.0]
-        models = fit_sketched_multi(KernelSpec.wendland(), design13, y, centers, lams)
+        models = fit_sketched_multi(KernelSpec.wendland(), design13, [y], centers, lams)[0]
         norms = [float(m.coefficients @ kmm @ m.coefficients) for m in models]
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
 
@@ -224,7 +223,7 @@ def mixed_kernel_models(design: PointSet, lams=(1e-2, 1e-4, 1e-6)) -> list[Fitte
     kernels = (KernelSpec.gaussian(0.3), KernelSpec.gaussian(0.6),
                KernelSpec.gaussian(1.0), KernelSpec.wendland())
     return [model for kernel in kernels
-            for model in fit_sketched_multi(kernel, design, y, centers, lams)]
+            for model in fit_sketched_multi(kernel, design, [y], centers, lams)[0]]
 
 
 class TestPredict:
@@ -264,8 +263,8 @@ class TestPredict:
             assert n_probe // block_rows >= 3 and n_probe % block_rows
             monkeypatch.setattr(points_mod, "BLOCK_BYTES",
                                 8 * len(design17) * block_rows)
-        models = fit_sketched_multi(kernel, design17, smooth_values(design17),
-                                    design17, [1e-2, 1e-4, 1e-6])
+        models = fit_sketched_multi(kernel, design17, [smooth_values(design17)],
+                                    design17, [1e-2, 1e-4, 1e-6])[0]
         probe = PointSet(random_unit_points(np.random.default_rng(5), n_probe))
         labels = smooth_values(probe)
         rows = predict_sweep(models, probe)
@@ -283,8 +282,8 @@ class TestPredict:
         # GEMM and the GEMV differ by about 5e-13 absolute.
         data = make_dataset(design13, TargetFunction.by_name("f1"), NoiseModel(0.01, seed=7))
         centers = select_sketch(SketchMethod.first(20), design13)
-        models = fit_sketched_multi(KernelSpec.gaussian(1.0), design13, data.labels,
-                                    centers, [1e-2, 1e-4, 1e-6, 1e-8])
+        models = fit_sketched_multi(KernelSpec.gaussian(1.0), design13, [data.labels],
+                                    centers, [1e-2, 1e-4, 1e-6, 1e-8])[0]
         large = models[2]
         assert large.lam == 1e-6 and np.abs(large.coefficients).max() > 1e3
         probe = PointSet(random_unit_points(np.random.default_rng(8), 300))
@@ -317,7 +316,7 @@ class TestPredict:
         centers = design13.take(np.arange(10))
         lams = np.logspace(-1, -9, 40)
         models = fit_sketched_multi(KernelSpec.gaussian(0.5), design13,
-                                    smooth_values(design13), centers, lams)
+                                    [smooth_values(design13)], centers, lams)[0]
         monkeypatch.setattr(points_mod, "BLOCK_BYTES", 8 * 40 * 3)
         assert list(points_mod._row_blocks(7, 40)) == [slice(0, 3), slice(3, 6), slice(6, 9)]
         probe = PointSet(random_unit_points(np.random.default_rng(4), 200))
@@ -446,7 +445,7 @@ class TestMultiFit:
         for sigma, arms in ((0.3, ["whitened-eig"] * 3 + ["cholesky"] * 3),
                             (1.0, ["cholesky", "eig-pinv", "eig-pinv"] * 2)):
             kernel = KernelSpec.gaussian(sigma)
-            multi = fit_sketched_multi(kernel, design13, y, centers, lams)
+            multi = fit_sketched_multi(kernel, design13, [y], centers, lams)[0]
             single = [fit_sketched(kernel, design13, y, centers, lam) for lam in lams]
             assert [m.diagnostics.method for m in multi + single] == arms
             oracle = per_lambda_eigh_fit(kernel, design13, y, centers, lams)
@@ -461,8 +460,8 @@ class TestMultiFit:
 
     def test_order_preserved(self, design13):
         y = smooth_values(design13)
-        models = fit_sketched_multi(KernelSpec.wendland(), design13, y,
-                                    design13, [1.0, 1e-4])
+        models = fit_sketched_multi(KernelSpec.wendland(), design13, [y],
+                                    design13, [1.0, 1e-4])[0]
         assert [m.lam for m in models] == [1.0, 1e-4]
 
     @pytest.mark.parametrize("case", ["zero-lambda", "duplicate-centers", "zero-labels"])
@@ -480,11 +479,11 @@ class TestMultiFit:
             centers = design13.take(np.r_[np.arange(20), np.arange(10)])
         else:
             label_sets[1] = np.zeros(len(design13))
-        sweeps = fit_sketched_sweep(kernel, design13, label_sets, centers, lams)
+        sweeps = fit_sketched_multi(kernel, design13, label_sets, centers, lams)
         assert len(sweeps) == len(label_sets)
         for y, sweep in zip(label_sets, sweeps):
             oracle = per_lambda_eigh_fit(kernel, design13, y, centers, lams)
-            multi = fit_sketched_multi(kernel, design13, y, centers, lams)
+            multi = fit_sketched_multi(kernel, design13, [y], centers, lams)[0]
             assert [m.lam for m in sweep] == lams
             for model, ref, expect in zip(sweep, multi, oracle):
                 assert model.centers is centers
@@ -510,7 +509,7 @@ class TestMultiFit:
 
         monkeypatch.setattr(solver_mod, "cross_matrix", slow_cross_matrix)
         y = smooth_values(design13)
-        sweeps = fit_sketched_sweep(KernelSpec.wendland(), design13, [y, 2.0 * y, -y],
+        sweeps = fit_sketched_multi(KernelSpec.wendland(), design13, [y, 2.0 * y, -y],
                                     design13, [1e-2, 1e-4])
         assert all(m.diagnostics.wall_time >= 0.05 for sweep in sweeps for m in sweep)
 
@@ -525,7 +524,7 @@ class TestMultiFit:
 
         monkeypatch.setattr(np.linalg, "eigh", slow_eigh)
         y = smooth_values(design13)
-        sweeps = fit_sketched_sweep(KernelSpec.wendland(), design13, [y, -y],
+        sweeps = fit_sketched_multi(KernelSpec.wendland(), design13, [y, -y],
                                     design13.take(np.arange(40)), [1e-2, 1e-4])
         models = [m for sweep in sweeps for m in sweep]
         assert all(m.diagnostics.method == "whitened-eig" for m in models)
@@ -534,9 +533,9 @@ class TestMultiFit:
     def test_sweep_validates_label_sets(self, design13):
         y = smooth_values(design13)
         with pytest.raises(ValueError, match="at least one label set"):
-            fit_sketched_sweep(KernelSpec.wendland(), design13, [], design13, [1e-3])
+            fit_sketched_multi(KernelSpec.wendland(), design13, [], design13, [1e-3])
         with pytest.raises(ValueError, match="shape"):
-            fit_sketched_sweep(KernelSpec.wendland(), design13, [y, y[:-1]],
+            fit_sketched_multi(KernelSpec.wendland(), design13, [y, y[:-1]],
                                design13, [1e-3])
 
 
@@ -553,7 +552,7 @@ class TestWhitenedGuard:
         methods, truncated = [], 0
         for sigma in grid.sigmas:
             kernel = KernelSpec.gaussian(sigma)
-            sweep = fit_sketched_sweep(kernel, training, [data.labels], centers,
+            sweep = fit_sketched_multi(kernel, training, [data.labels], centers,
                                        grid.lambdas)[0]
             oracle = per_lambda_eigh_fit(kernel, training, data.labels, centers,
                                          grid.lambdas)
@@ -574,7 +573,7 @@ class TestWhitenedGuard:
         centers = load_design(17)
         y = smooth_values(design13)
         lams = [1e-2, 0.0]
-        sweep = fit_sketched_multi(KernelSpec.wendland(), design13, y, centers, lams)
+        sweep = fit_sketched_multi(KernelSpec.wendland(), design13, [y], centers, lams)[0]
         oracle = per_lambda_eigh_fit(KernelSpec.wendland(), design13, y, centers, lams)
         assert [m.diagnostics.method for m in sweep] == ["whitened-eig", "eig-pinv"]
         assert sweep[1].lam == 0.0
@@ -589,18 +588,17 @@ class TestWhitenedGuard:
         y = smooth_values(design13)
         centers = design13.take(np.arange(40))
         kernel = KernelSpec.wendland()
-        pair = fit_sketched_multi(kernel, design13, y, centers, [1e-3, 1e-4])
+        pair = fit_sketched_multi(kernel, design13, [y], centers, [1e-3, 1e-4])[0]
         assert pair[0].diagnostics.method == "whitened-eig"
         knm, kmm = cross_matrix(kernel, design13, centers), gram(kernel, centers)
         l_inv = solver_mod._lower_inverse(np.linalg.cholesky(
             knm.T @ knm + (1e-3 * len(design13)) * kmm))
         direct = l_inv.T @ (l_inv @ (knm.T @ y))
         expect, = per_lambda_eigh_fit(kernel, design13, y, centers, [1e-3])
-        for model in (fit_sketched(kernel, design13, y, centers, 1e-3),
-                      fit_sketched_sweep(kernel, design13, [y], centers, [1e-3])[0][0]):
-            assert model.diagnostics.method == "cholesky"
-            assert np.array_equal(model.coefficients, direct)
-            assert_matches_oracle(model, *expect)
+        model = fit_sketched(kernel, design13, y, centers, 1e-3)
+        assert model.diagnostics.method == "cholesky"
+        assert np.array_equal(model.coefficients, direct)
+        assert_matches_oracle(model, *expect)
 
     # The explicit examples reach every arm on every run, each checked against
     # the arms it names: all three in one Gaussian sweep, Cholesky alone for a
@@ -628,7 +626,7 @@ class TestWhitenedGuard:
         kernel = KernelSpec.wendland() if sigma is None else KernelSpec.gaussian(sigma)
         lams = [0.0 if e is None else 10.0 ** e for e in exponents]
         y = smooth_values(design13)
-        sweep = fit_sketched_multi(kernel, design13, y, centers, lams)
+        sweep = fit_sketched_multi(kernel, design13, [y], centers, lams)[0]
         oracle = per_lambda_eigh_fit(kernel, design13, y, centers, lams)
         knm, kmm = cross_matrix(kernel, design13, centers), gram(kernel, centers)
         if arms is not None:
@@ -787,7 +785,7 @@ class TestWorkingSet:
         m = len(sites)
         models = []
         peak = traced_peak(lambda: models.extend(fit_sketched_multi(
-            KernelSpec.wendland(), sites, smooth_values(sites), sites, [1e-1, 1e-4, 1e-12])))
+            KernelSpec.wendland(), sites, [smooth_values(sites)], sites, [1e-1, 1e-4, 1e-12])[0]))
         assert [model.diagnostics.method for model in models] == [
             "whitened-eig", "cholesky", "eig-pinv"]
         assert peak <= 8 * 5 * m * m + 2**21
@@ -812,11 +810,32 @@ class TestWorkingSet:
         monkeypatch.setattr(sphfit.kernels, "DEFAULT_MEMORY_BUDGET", budget)
 
         def fit():
-            with pytest.raises(MatrixSizeError, match="156 x 156 normal-equations "
-                                                      f"matrix needs {8 * 156**2} bytes"):
+            with pytest.raises(MatrixSizeError, match="sketched fit of 12 sites on 156 "
+                                                      f"centers needs {8 * 4 * 156**2} bytes"):
                 fit_sketched(KernelSpec.wendland(), data, smooth_values(data), centers, 0.0)
 
         assert traced_peak(fit) <= budget + 2**14
+
+    def test_working_set_over_budget_refused_before_allocating(self, monkeypatch):
+        # N = m = 864 under a budget of one N x N matrix: each matrix of the
+        # fit is within it, the whole working set is not (a one-lam sketched
+        # fit holds 4 m^2 doubles, fit_full up to 3 N^2)
+        data = load_design(41)
+        n = len(data)
+        budget = 8 * n * n
+        monkeypatch.setattr(sphfit.kernels, "DEFAULT_MEMORY_BUDGET", budget)
+        y = smooth_values(data)
+
+        def assert_refused(fit, message):
+            def run():
+                with pytest.raises(MatrixSizeError, match=message):
+                    fit()
+            assert traced_peak(run) <= budget + 2**14
+
+        assert_refused(lambda: fit_full(KernelSpec.wendland(), data, y, 2e-4),
+                       f"full fit of {n} sites needs {8 * 3 * n * n} bytes")
+        assert_refused(lambda: fit_sketched(KernelSpec.wendland(), data, y, data, 2e-4),
+                       f"sketched fit of {n} sites on {n} centers needs {8 * 4 * n * n} bytes")
 
 
 class TestValidationAndDiagnostics:
