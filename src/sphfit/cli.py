@@ -4,7 +4,7 @@ Subcommands: gen-points, verify-design, gen-data, fit, simulate.
 Exit codes: 0 success, 1 design not certified (verify-design), 2 bad config
 or arguments, 3 missing or malformed data file or any other file system
 fault (a directory given as a file, an output path that cannot be created),
-4 numerical failure or a problem too large for the memory budget.
+4 numerical failure or memory that the budget or the machine cannot supply.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .data import (DATASET_HEADER, NoiseModel, TargetFunction, _dataset_from_lin
 from .harness import (ConfigError, GridSearchError, parse_config,
                       run_simulation1, run_simulation2, run_simulation3,
                       write_field_csv, write_results_csv, write_seed_detail_csv)
-from .kernels import KernelSpec, MatrixSizeError
+from .kernels import KernelSpec
 from .legendre import DEFAULT_DESIGN_TOL, verify_design
 from .points import (PointFileError, PointSet, _data_lines, _read_rows,
                      eq_area_centers, generate_spiral, load_point_file,
@@ -174,7 +174,7 @@ def main(argv=None) -> int:
     except (PointFileError, OSError) as exc:     # DesignNotFoundError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING
-    except (GridSearchError, MatrixSizeError, np.linalg.LinAlgError) as exc:
+    except (GridSearchError, MemoryError, np.linalg.LinAlgError) as exc:  # MatrixSizeError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -291,6 +291,11 @@ class ExperimentConfig:
             raise ConfigError("training degree t must be odd and positive")
         if self.n_seeds < 1 or self.n_test < 2:
             raise ConfigError("n_seeds >= 1 and n_test >= 2 required")
+        if self.base_seed < 0:
+            raise ConfigError(f"noise seed must be >= 0, got {self.base_seed}")
+        if self.design_dir is not None and not str(self.design_dir).strip():
+            # an empty path would read designs from the current directory
+            raise ConfigError("sketch.design_dir must name a directory, got an empty value")
         if self.deltas is not None and not self.deltas:
             raise ConfigError("noise deltas must not be empty")
         for name in ("deltas", "s_stars"):
@@ -336,7 +341,7 @@ def _real_timing(text: str) -> bool:
 # section -> key -> (ExperimentConfig field, parser of the value)
 CONFIG_KEYS = {
     "experiment": {"target": ("target", str.strip), "t": ("t", int)},
-    "noise": {"deltas": ("deltas", _numbers(float)), "seed": ("base_seed", int)},
+    "noise": {"deltas": ("deltas", _numbers(float)), "seed": ("base_seed", _number(int, 0))},
     "sketch": {"s_stars": ("s_stars", _numbers(int)), "n_seeds": ("n_seeds", int),
                "design_dir": ("design_dir", str.strip)},
     "test": {"n_points": ("n_test", int)},

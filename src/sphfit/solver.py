@@ -75,12 +75,10 @@ TRI_INV_LEAF = 256
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
-    """How the linear system was actually solved."""
+    """How the linear system was solved: the arm, the rank kept and the seconds taken."""
 
     method: str                 # "eig-pinv", "whitened-eig" or "cholesky"
     rank_used: int              # retained spectral rank (= m for whitened-eig, cholesky)
-    eigen_threshold: float      # cutoff below which eigenvalues were dropped
-    residual_norm: float        # ||A alpha - b||_2 of the solved system
     wall_time: float            # seconds to assemble the kernel matrices and solve
 
 
@@ -109,22 +107,20 @@ class FittedModel:
         return predict(self, points)
 
 
-def _kept_eigenpairs(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def _kept_eigenpairs(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The eigenpairs ``np.linalg.eigh`` gave for a symmetric PSD matrix
     that a pseudo-inverse solve keeps.
 
     Eigenvalues at or below m * eps * lambda_max are treated as zero.
-    Returns (kept eigenvalues, their eigenvectors as columns, threshold).
+    Returns (kept eigenvalues, their eigenvectors as columns).
     Taking eigh's output rather than the matrix lets a caller that passes
     ``eigh(<temporary>)`` have the matrix freed before the kept columns are
     copied out.  eigh reads one triangle only; callers pass exactly
     symmetric matrices.
     """
-    m = len(w)
-    w_max = float(w[-1]) if m else 0.0
-    threshold = m * np.finfo(float).eps * max(w_max, 0.0)
+    threshold = len(w) * np.finfo(float).eps * max(float(w[-1]), 0.0)
     keep = w > threshold
-    return w[keep], v[:, keep], threshold
+    return w[keep], v[:, keep]
 
 
 def _lower_inverse(l: np.ndarray) -> np.ndarray:
@@ -212,11 +208,11 @@ def _system(gtg: np.ndarray, kmm: np.ndarray, shift: float) -> np.ndarray:
 
 
 def _own_factorization(gtg: np.ndarray, kmm: np.ndarray, shift: float):
-    """``(method, w, V, threshold)`` with ``alpha = V ((V^T b) / w)`` solving
-    ``(gtg + shift * kmm) alpha = b``: ``(1, L^-T)`` of the system's own
-    Cholesky factor when its bound kappa (:func:`_cholesky_inverse`) is at
-    most ``1 / (CHOLESKY_MARGIN * m * eps)``, else the system's kept
-    eigenpairs (:func:`_kept_eigenpairs`).
+    """``(method, w, V)`` with ``alpha = V ((V^T b) / w)`` solving
+    ``(gtg + shift * kmm) alpha = b``: ``("cholesky", 1, L^-T)`` from the
+    system's own Cholesky factor when its bound kappa (:func:`_cholesky_inverse`)
+    is at most ``1 / (CHOLESKY_MARGIN * m * eps)``, else ``"eig-pinv"`` and
+    the system's kept eigenpairs (:func:`_kept_eigenpairs`).
 
     A rejected ``L^-1`` is released before the pseudo-inverse forms the
     system again, with the same bits, so no two systems are held at once.
@@ -225,7 +221,7 @@ def _own_factorization(gtg: np.ndarray, kmm: np.ndarray, shift: float):
     a = _system(gtg, kmm, shift)
     l_inv, kappa = _cholesky_inverse(a)
     if kappa <= 1.0 / (CHOLESKY_MARGIN * m * np.finfo(float).eps):
-        return "cholesky", np.ones(m), l_inv.T, 0.0
+        return "cholesky", np.ones(m), l_inv.T
     del a, l_inv
     return ("eig-pinv", *_kept_eigenpairs(*np.linalg.eigh(_system(gtg, kmm, shift))))
 
@@ -295,21 +291,18 @@ def fit_sketched_multi(kernel: KernelSpec, data: PointSet, label_sets,
     for lam in lams:
         shift = lam * n
         if whitened is not None and _admitted(d, kappa, shift):
-            method, w, v, threshold, coords = "whitened-eig", d + shift, p, 0.0, projected
+            method, w, v, coords = "whitened-eig", d + shift, p, projected
             decompose = whitening
         else:
             t0 = time.perf_counter()
-            method, w, v, threshold = _own_factorization(gtg, kmm, shift)
+            method, w, v = _own_factorization(gtg, kmm, shift)
             coords = [v.T @ b for b in rhs]
             decompose = time.perf_counter() - t0
-        for b, c, out in zip(rhs, coords, models):
+        for c, out in zip(coords, models):
             t0 = time.perf_counter()
             coef = v @ (c / w)
-            wall = assembly + decompose + time.perf_counter() - t0
-            diag = SolveDiagnostics(
-                method, len(w), threshold,
-                residual_norm=float(np.linalg.norm(gtg @ coef + shift * (kmm @ coef) - b)),
-                wall_time=wall)
+            diag = SolveDiagnostics(method, len(w),
+                                    assembly + decompose + time.perf_counter() - t0)
             out.append(FittedModel(kernel, centers, coef, lam, n, diag))
         del v   # not held while the next lam's system is factored
     return models
@@ -346,15 +339,13 @@ def fit_full(kernel: KernelSpec, data: PointSet, values, lam: float) -> FittedMo
     try:
         np.linalg.cholesky(shifted)     # the certificate; the factor is not kept
     except np.linalg.LinAlgError:
-        w, v, threshold = _kept_eigenpairs(*np.linalg.eigh(shifted))
+        w, v = _kept_eigenpairs(*np.linalg.eigh(shifted))
         coef = v @ ((v.T @ y) / w)
         method, rank = "eig-pinv", len(w)
     else:
         coef = np.linalg.solve(shifted, y)
-        method, rank, threshold = "cholesky", n, 0.0
-    diag = SolveDiagnostics(method, rank, threshold,
-                            residual_norm=float(np.linalg.norm(shifted @ coef - y)),
-                            wall_time=time.perf_counter() - t0)
+        method, rank = "cholesky", n
+    diag = SolveDiagnostics(method, rank, time.perf_counter() - t0)
     return FittedModel(kernel, data, coef, lam, n, diag)
 
 

@@ -145,6 +145,19 @@ def test_fit_centers_over_memory_budget_exits_4(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "model.txt").exists()
 
 
+def test_memory_error_exits_4(tmp_path, capsys, monkeypatch):
+    # what numpy raises when the machine cannot supply an array; raised by a
+    # stand-in, so that nothing is allocated
+    def out_of_memory(n):
+        raise MemoryError(f"Unable to allocate {8 * 3 * n} bytes for {n} points")
+    monkeypatch.setattr(sphfit.cli, "generate_spiral", out_of_memory)
+    rc = main(["gen-points", "--kind", "spiral", "--n", "100000000000",
+               "--out", str(tmp_path / "s.txt")])
+    assert rc == 4
+    assert capsys.readouterr().err.startswith("error: Unable to allocate")
+    assert not (tmp_path / "s.txt").exists()
+
+
 class TestGenData:
     def test_writes_dataset(self, tmp_path):
         out = tmp_path / "d.csv"
@@ -355,6 +368,18 @@ class TestSimulate:
                    "--out-dir", str(tmp_path / "o")])
         assert rc == 2
         assert "sketch.s_star" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("section, line, key", [("noise", "seed = -1", "noise.seed"),
+                                                    ("sketch", "design_dir =", "sketch.design_dir")],
+                             ids=["negative-seed", "empty-design-dir"])
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, section, line, key):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(f"[experiment]\nt = 9\n[{section}]\n{line}\n")
+        rc = main(["simulate", "--sim", "1", "--config", str(ini),
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert key in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_design_dir_without_needed_degree(self, tmp_path):

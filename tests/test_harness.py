@@ -344,6 +344,10 @@ class TestConfig:
             ExperimentConfig(n_seeds=0)
         with pytest.raises(ConfigError):
             ExperimentConfig(sim3_s_star=4)
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            ExperimentConfig(base_seed=-1)
+        with pytest.raises(ConfigError, match="design_dir must name a directory"):
+            ExperimentConfig(design_dir=" ")
 
     @pytest.mark.parametrize("override", [
         dict(deltas=(0.1, math.nan)), dict(deltas=(math.inf,)), dict(deltas=(-0.1,)),
@@ -392,6 +396,18 @@ class TestConfig:
                                            ("[noise]\ndelta = 0.1\n", "noise.delta")])
     def test_unknown_key_rejected(self, tmp_path, text, key):
         f = tmp_path / "typo.ini"
+        f.write_text(text)
+        with pytest.raises(ConfigError, match=key):
+            parse_config(f)
+
+    # a negative seed would fail only when noise is drawn, and an empty design
+    # directory would load designs from the current directory
+    @pytest.mark.parametrize("text, key", [("[noise]\nseed = -1\n", "noise.seed"),
+                                           ("[sketch]\ndesign_dir =\n", "sketch.design_dir"),
+                                           ("[sketch]\ndesign_dir =   \n", "sketch.design_dir")],
+                             ids=["negative-seed", "empty-design-dir", "blank-design-dir"])
+    def test_bad_value_rejected_naming_key(self, tmp_path, text, key):
+        f = tmp_path / "bad.ini"
         f.write_text(text)
         with pytest.raises(ConfigError, match=key):
             parse_config(f)
