@@ -33,9 +33,20 @@ def _bundled_dir() -> Path:
     return path
 
 
+def _design_dir(directory) -> Path:
+    """``directory``, or the bundled directory when it is None.  An empty or
+    blank ``directory`` is refused: as a path it would name the current
+    directory."""
+    if directory is None:
+        return _bundled_dir()
+    if not str(directory).strip():
+        raise ValueError(f"directory must name a directory, got {str(directory)!r}")
+    return Path(directory)
+
+
 def available_degrees(directory=None) -> list[int]:
     """Sorted degrees with a design file present."""
-    directory = Path(directory) if directory is not None else _bundled_dir()
+    directory = _design_dir(directory)
     out = []
     for f in directory.iterdir():
         m = _NAME_RE.fullmatch(f.name)
@@ -46,7 +57,7 @@ def available_degrees(directory=None) -> list[int]:
 
 def design_path(t: int, directory=None) -> Path:
     """Path of the degree-t design file, bundled or from ``directory``."""
-    directory = Path(directory) if directory is not None else _bundled_dir()
+    directory = _design_dir(directory)
     matches = sorted(directory.glob(f"t{t:03d}_n*.txt"))
     if not matches:
         have = available_degrees(directory)

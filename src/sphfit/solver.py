@@ -13,31 +13,39 @@ Restricting the representer expansion to C gives the m x m normal equations
 on one input set at several lams, and ``fit_sketched`` is its call for one
 label set and one lam.  A sweep over several lams decomposes the whitened
 system once and solves every well-conditioned lam from it (Nystrom kernel
-ridge regression, Rudi, Camoriano & Rosasco 2015).  Any other lam, and a single-lam fit, is solved
-by its own Cholesky factor when a rigorous bound on its condition number
-proves that the pseudo-inverse below would drop no eigenvalue, so both give
-the same estimator.  The rest go through a symmetric eigendecomposition
+ridge regression, Rudi, Camoriano & Rosasco 2015).  Any other lam, and a
+single-lam fit, is solved by its own Cholesky factor when a rigorous bound
+on its condition number proves that the pseudo-inverse below would drop no
+eigenvalue, so both give the same estimator.  The rest go through a symmetric eigendecomposition
 pseudo-inverse, so that rank deficiency (tiny lam, clustered or duplicate
 centers) degrades gracefully instead of blowing up.  ``fit_full`` covers
 the classical m = N case through the equivalent system
 (K + lam * N * I) alpha = y: a Cholesky factorization certifies that it is
-numerically positive definite and an LU solve gives alpha, or the
-pseudo-inverse does when the factorization fails.  numpy.linalg is the
-only linear-algebra library, so one BLAS serves every fit.
+numerically positive definite and two triangular substitutions with the
+factor give alpha, or the pseudo-inverse does when the factorization fails.
+No triangular matrix larger than ``TRI_INV_LEAF`` rows is LU-factored:
+substitutions and the triangular inverse recurse by halves down to leaf
+blocks.  numpy.linalg is the only linear-algebra library, so one BLAS
+serves every fit.
 
 Working set.  ``Knm`` (N x m) is freed as soon as ``Knm^T Knm`` and every
-``Knm^T y`` exist, and only then is ``Kmm`` built.  Each lam's system is
-formed in one allocation, factored into its own storage and inverted there
-(or replaced by its eigenvectors), so a one-lam fit holds at most
-max(N m + m^2, 4 m^2) doubles, plus one kernel block (``BLOCK_BYTES``) and
-numpy's LAPACK copy of the system while it is factored.  A sweep of
-several lams also keeps the whitened basis, and the whitening holds two
-m x m products at once: max(N m + m^2, 5 m^2) doubles.  Each model adds
-its m coefficients.  ``fit_full`` holds its N x N system and the factor
-that certifies it, 2 N^2 doubles (3 N^2 on its pseudo-inverse fallback),
-plus numpy's LAPACK copy of the system while it is factored and solved.
-Each fit checks these doubles (3 N^2 for ``fit_full``) against the memory
-budget before it allocates anything.
+``Knm^T y`` exist, and only then is ``Kmm`` built.  A one-lam fit forms its
+system in Kmm's storage and frees ``Knm^T Knm``; it factors the system into
+a new array and inverts the factor there, keeping the system for the
+pseudo-inverse, which frees it before the kept eigenvectors are copied out.
+So a one-lam fit holds at most max(N m + m^2, 3 m^2) doubles (the system,
+its factor and one m x m temporary of the condition bound), plus one kernel
+block (``BLOCK_BYTES``) and numpy's LAPACK copy of the system while it is
+factored.  A sweep of several lams keeps ``Knm^T Knm``, ``Kmm`` and the
+whitened basis, and its whitening holds two m x m products at once: each
+lam's system is freed once factored and formed again, with the same bits,
+if the pseudo-inverse needs it, so a sweep holds max(N m + m^2, 5 m^2)
+doubles.  Each model adds its m coefficients.  ``fit_full`` holds its
+N x N system and the factor that certifies it, 2 N^2 doubles, plus numpy's
+LAPACK copy of the system while it is factored; it frees the system before
+the substitutions, and holds 3 N^2 on its pseudo-inverse fallback.  Each
+fit checks these doubles (3 N^2 for ``fit_full``) against the memory budget
+before it allocates anything.
 """
 
 from __future__ import annotations
@@ -69,7 +77,8 @@ WHITENED_COND_LIMIT = 1e8
 # estimator up to rounding, about m * eps * cond_2(A) relative.
 CHOLESKY_MARGIN = 100
 
-# Largest diagonal block that _lower_inverse hands to np.linalg.inv.
+# Largest triangular block that is LU-factored: _lower_inverse hands its
+# diagonal blocks to np.linalg.inv, _upper_solve its leaves to np.linalg.solve.
 TRI_INV_LEAF = 256
 
 
@@ -123,6 +132,29 @@ def _kept_eigenpairs(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return w[keep], v[:, keep]
 
 
+def _upper_solve(u: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """X with ``U X = B`` for a nonsingular upper-triangular U, which has exact
+    zeros below the diagonal, and a vector or matrix B, in a new array.
+
+    Back substitution by halves, as a recursive blocked TRSM (Elmroth,
+    Gustavson, Jonsson & Kagstrom, SIAM Review 2004): X2 from U22, then X1
+    from ``U11 X1 = B1 - U12 X2``.  Each leaf of at most ``TRI_INV_LEAF`` rows
+    is ``np.linalg.solve``: an upper-triangular matrix needs no row
+    exchange, so numpy's LU of it is exact and the solve is a
+    backward-stable back substitution.  To solve with a lower-triangular L,
+    pass its reversal ``L[::-1, ::-1]``, which is upper triangular, and
+    ``B[::-1]``, and reverse the rows of X.
+    """
+    m = len(u)
+    if m <= TRI_INV_LEAF:
+        return np.linalg.solve(u, b)
+    h = m // 2
+    x = np.empty(b.shape)
+    x[h:] = _upper_solve(u[h:, h:], b[h:])
+    x[:h] = _upper_solve(u[:h, :h], b[:h] - u[:h, h:] @ x[h:])
+    return x
+
+
 def _lower_inverse(l: np.ndarray) -> np.ndarray:
     """Overwrite a nonsingular lower-triangular matrix L, which has exact
     zeros above the diagonal, with its inverse X and return it.  X has
@@ -132,15 +164,14 @@ def _lower_inverse(l: np.ndarray) -> np.ndarray:
     2 x 2 block recursion in place, as LAPACK's xTRTRI inverts (Du Croz &
     Higham, IMA J. Numer. Anal. 1992): X22 first, then the off-diagonal
     block, which solves ``X21 L11 = -(X22 L21)`` while L11 is still in
-    place, then X11.  The solve is ``np.linalg.solve`` on the
-    upper-triangular ``L11^T``; diagonal blocks of at most ``TRI_INV_LEAF``
-    rows are inverted the same way, ``inv(L^T)^T``.  An upper-triangular
-    matrix needs no row exchange, so numpy's LU of it is exact and the
-    solve is a backward-stable back substitution.  numpy has no triangular
-    solve of its own: ``np.linalg.inv(L)`` exchanges rows of a
-    lower-triangular L and ``X21 = -X22 (L21 X11)`` multiplies by the
-    computed X11, and on an ill-conditioned factor either one is orders of
-    magnitude less accurate.
+    place, by back substitution with the upper-triangular ``L11^T``
+    (:func:`_upper_solve`), then X11.  Diagonal blocks of at most
+    ``TRI_INV_LEAF`` rows are inverted as ``inv(L^T)^T``, an exact LU of an
+    upper-triangular block, so no triangular matrix larger than that is
+    LU-factored.  numpy has no triangular solve of its own:
+    ``np.linalg.inv(L)`` exchanges rows of a lower-triangular L and
+    ``X21 = -X22 (L21 X11)`` multiplies by the computed X11, and on an
+    ill-conditioned factor either one is orders of magnitude less accurate.
     """
     m = len(l)
     if m <= TRI_INV_LEAF:
@@ -148,29 +179,39 @@ def _lower_inverse(l: np.ndarray) -> np.ndarray:
         return l
     h = m // 2
     _lower_inverse(l[h:, h:])
-    l[h:, :h] = np.linalg.solve(l[:h, :h].T, -(l[h:, h:] @ l[h:, :h]).T).T
+    l[h:, :h] = _upper_solve(l[:h, :h].T, -(l[h:, h:] @ l[h:, :h]).T).T
     _lower_inverse(l[:h, :h])
     return l
 
 
-def _cholesky_inverse(a: np.ndarray) -> tuple[np.ndarray | None, float]:
-    """Overwrite ``a = L L^T`` with ``L^-1`` and return ``(L^-1, kappa)``, or
-    ``(None, inf)``, with ``a`` left as it was, if the factorization fails.
+def _cholesky(a: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """``(L, |a|_1)`` for ``a = L L^T``, with L in a new array and ``a`` left
+    as it was, or ``(None, inf)`` if the factorization fails.
 
-    ``kappa = |a|_1 |L^-1|_1 |L^-1|_inf`` bounds cond_2(a) from above, since
-    ``|a^-1|_2 = |L^-1|_2^2 <= |L^-1|_1 |L^-1|_inf`` and ``|a|_2 <= |a|_1``
-    for symmetric a.  The factor is stored in ``a`` as soon as it exists
-    and is inverted there, so at most two m x m arrays are held, plus
-    numpy's LAPACK copy of ``a`` during the factorization.
+    The norm is taken before L exists, so at most two m x m arrays are
+    held, plus numpy's LAPACK copy of ``a`` during the factorization.  A
+    caller that passes a temporary ``a`` has it freed when this returns.
     """
     a_norm = np.linalg.norm(a, 1)
     try:
-        a[:] = np.linalg.cholesky(a)
+        return np.linalg.cholesky(a), a_norm
     except np.linalg.LinAlgError:
         return None, np.inf
-    l_inv = _lower_inverse(a)
-    kappa = float(a_norm * np.linalg.norm(l_inv, 1) * np.linalg.norm(l_inv, np.inf))
-    return l_inv, kappa
+
+
+def _inverse_bound(l: np.ndarray | None, a_norm: float) -> tuple[np.ndarray | None, float]:
+    """Overwrite the Cholesky factor L of a matrix a with ``L^-1`` and return
+    ``(L^-1, kappa)``, given ``a_norm = |a|_1`` (:func:`_cholesky`), or
+    ``(None, inf)`` for no factor.
+
+    ``kappa = |a|_1 |L^-1|_1 |L^-1|_inf`` bounds cond_2(a) from above, since
+    ``|a^-1|_2 = |L^-1|_2^2 <= |L^-1|_1 |L^-1|_inf`` and ``|a|_2 <= |a|_1``
+    for symmetric a.
+    """
+    if l is None:
+        return None, np.inf
+    l_inv = _lower_inverse(l)
+    return l_inv, float(a_norm * np.linalg.norm(l_inv, 1) * np.linalg.norm(l_inv, np.inf))
 
 
 def _whiten(gtg: np.ndarray, kmm: np.ndarray):
@@ -179,11 +220,11 @@ def _whiten(gtg: np.ndarray, kmm: np.ndarray):
     Factors ``kmm = L L^T`` and decomposes ``C = L^-1 gtg L^-T = Q D Q^T``;
     then ``alpha = P (P^T b) / (D + s)`` with ``P = L^-T Q``.  Returns
     (D ascending, P, kappa), where kappa bounds cond_2(kmm)
-    (:func:`_cholesky_inverse`), or None when the Cholesky factorization or
+    (:func:`_inverse_bound`), or None when the Cholesky factorization or
     the eigendecomposition fails or kappa alone exceeds the limit (then no
     shift is admitted).
     """
-    l_inv, kappa = _cholesky_inverse(kmm.copy())
+    l_inv, kappa = _inverse_bound(*_cholesky(kmm))
     if not kappa <= WHITENED_COND_LIMIT:
         return None
     try:
@@ -207,25 +248,6 @@ def _system(gtg: np.ndarray, kmm: np.ndarray, shift: float) -> np.ndarray:
     return a
 
 
-def _own_factorization(gtg: np.ndarray, kmm: np.ndarray, shift: float):
-    """``(method, w, V)`` with ``alpha = V ((V^T b) / w)`` solving
-    ``(gtg + shift * kmm) alpha = b``: ``("cholesky", 1, L^-T)`` from the
-    system's own Cholesky factor when its bound kappa (:func:`_cholesky_inverse`)
-    is at most ``1 / (CHOLESKY_MARGIN * m * eps)``, else ``"eig-pinv"`` and
-    the system's kept eigenpairs (:func:`_kept_eigenpairs`).
-
-    A rejected ``L^-1`` is released before the pseudo-inverse forms the
-    system again, with the same bits, so no two systems are held at once.
-    """
-    m = len(kmm)
-    a = _system(gtg, kmm, shift)
-    l_inv, kappa = _cholesky_inverse(a)
-    if kappa <= 1.0 / (CHOLESKY_MARGIN * m * np.finfo(float).eps):
-        return "cholesky", np.ones(m), l_inv.T
-    del a, l_inv
-    return ("eig-pinv", *_kept_eigenpairs(*np.linalg.eigh(_system(gtg, kmm, shift))))
-
-
 def _check_values(values, n: int) -> np.ndarray:
     y = np.asarray(values, dtype=float)
     if y.shape != (n,):
@@ -247,7 +269,7 @@ def fit_sketched_multi(kernel: KernelSpec, data: PointSet, label_sets,
     decomposed once (:func:`_whiten`); a lam whose condition bound is within
     ``WHITENED_COND_LIMIT`` takes ``(D + lam*N, P, P^T b)`` from it (method
     ``"whitened-eig"``).  Every other lam, and a sweep of one lam, factors
-    its own ``A = L L^T`` (:func:`_cholesky_inverse`) and takes
+    its own ``A = L L^T`` (:func:`_cholesky`, :func:`_inverse_bound`) and takes
     ``(1, L^-T, L^-1 b)`` (``"cholesky"``) when the bound kappa on
     ``cond_2(A)`` is at most ``1 / (CHOLESKY_MARGIN * m * eps)``; failing
     that, the kept eigenpairs of ``A`` and ``c = V^T b`` (``"eig-pinv"``).
@@ -267,10 +289,10 @@ def fit_sketched_multi(kernel: KernelSpec, data: PointSet, label_sets,
         raise ValueError("regularization values must be finite and >= 0")
 
     m = len(centers)
-    # the working set of the module docstring; a sweep's whitening holds one
-    # more m x m matrix than a one-lam solve
-    squares = 4 if len(lams) == 1 else 5
-    _check_budget(8 * max(n * m + m * m, squares * m * m),
+    sweep = len(lams) > 1
+    # the working set of the module docstring; a sweep keeps Knm^T Knm and
+    # Kmm, and its whitening holds two more m x m matrices
+    _check_budget(8 * max(n * m + m * m, (5 if sweep else 3) * m * m),
                   f"sketched fit of {n} sites on {m} centers")
     t0 = time.perf_counter()
     knm = cross_matrix(kernel, data, centers)
@@ -281,7 +303,7 @@ def fit_sketched_multi(kernel: KernelSpec, data: PointSet, label_sets,
     assembly = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    whitened = _whiten(gtg, kmm) if len(lams) > 1 else None
+    whitened = _whiten(gtg, kmm) if sweep else None
     if whitened is not None:
         d, p, kappa = whitened
         projected = [p.T @ b for b in rhs]
@@ -295,7 +317,25 @@ def fit_sketched_multi(kernel: KernelSpec, data: PointSet, label_sets,
             decompose = whitening
         else:
             t0 = time.perf_counter()
-            method, w, v = _own_factorization(gtg, kmm, shift)
+            if sweep:
+                # freed once factored, and formed again with the same bits for
+                # the pseudo-inverse: a sweep keeps gtg, Kmm and the basis
+                l_inv, bound = _inverse_bound(*_cholesky(_system(gtg, kmm, shift)))
+            else:
+                # the one system, formed in Kmm's storage bit for bit as
+                # _system forms it, and kept for the pseudo-inverse
+                kmm *= shift
+                kmm += gtg
+                system, gtg, kmm = kmm, None, None
+                l_inv, bound = _inverse_bound(*_cholesky(system))
+            v = l_inv.T if bound <= 1.0 / (CHOLESKY_MARGIN * m * np.finfo(float).eps) else None
+            del l_inv   # a rejected inverse is freed here
+            if v is not None:
+                method, w = "cholesky", np.ones(m)
+            else:
+                w, v = np.linalg.eigh(_system(gtg, kmm, shift) if sweep else system)
+                system = None   # released before the kept eigenvectors are copied
+                method, (w, v) = "eig-pinv", _kept_eigenpairs(w, v)
             coords = [v.T @ b for b in rhs]
             decompose = time.perf_counter() - t0
         for c, out in zip(coords, models):
@@ -318,13 +358,14 @@ def fit_full(kernel: KernelSpec, data: PointSet, values, lam: float) -> FittedMo
     """Fit with every data site as a center: (K + lam*N*I) alpha = y.
 
     Pure interpolation (lam = 0) is excluded; use a tiny lam like 1e-10 to
-    approach it.  A Cholesky factorization certifies that the shifted
-    matrix is numerically positive definite, and an LU solve of it gives
-    the coefficients (method ``"cholesky"``, rank N).  If the factorization
-    fails, the shifted matrix is numerically indefinite: fall back to the
-    pseudo-inverse and record that in the diagnostics.  The working set of
-    the fallback (module docstring) is checked against the memory budget
-    before anything is allocated.
+    approach it.  A Cholesky factorization ``L L^T`` certifies that the
+    shifted matrix is numerically positive definite, and two substitutions
+    with that factor, ``alpha = L^-T (L^-1 y)`` (:func:`_upper_solve`), give
+    the coefficients (method ``"cholesky"``, rank N): the system is factored
+    once.  If the factorization fails, the shifted matrix is numerically
+    indefinite: fall back to the pseudo-inverse and record that in the
+    diagnostics.  The working set of the fallback (module docstring) is
+    checked against the memory budget before anything is allocated.
     """
     y = _check_values(values, len(data))
     lam = float(lam)
@@ -337,13 +378,16 @@ def fit_full(kernel: KernelSpec, data: PointSet, values, lam: float) -> FittedMo
     shifted = gram(kernel, data)
     shifted[np.diag_indices(n)] += lam * n
     try:
-        np.linalg.cholesky(shifted)     # the certificate; the factor is not kept
+        l = np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         w, v = _kept_eigenpairs(*np.linalg.eigh(shifted))
         coef = v @ ((v.T @ y) / w)
         method, rank = "eig-pinv", len(w)
     else:
-        coef = np.linalg.solve(shifted, y)
+        del shifted     # the substitutions need only the factor
+        # L z = y is the upper-triangular system of L reversed
+        z = _upper_solve(l[::-1, ::-1], y[::-1])[::-1]
+        coef = _upper_solve(l.T, z)
         method, rank = "cholesky", n
     diag = SolveDiagnostics(method, rank, time.perf_counter() - t0)
     return FittedModel(kernel, data, coef, lam, n, diag)

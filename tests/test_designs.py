@@ -42,6 +42,16 @@ class TestRegistry:
         with pytest.raises(DesignNotFoundError):
             load_design(7, directory=tmp_path)
 
+    @pytest.mark.parametrize("directory", ["", "  "])
+    def test_blank_directory_refused(self, directory, monkeypatch):
+        # run inside the bundled directory, where reading an empty path as the
+        # current directory would find the degree-5 design
+        monkeypatch.chdir(design_path(5).parent)
+        for call in (lambda: available_degrees(directory), lambda: design_path(5, directory),
+                     lambda: load_design(5, directory)):
+            with pytest.raises(ValueError, match="directory"):
+                call()
+
     def test_error_subclasses_file_not_found(self):
         assert issubclass(DesignNotFoundError, FileNotFoundError)
 

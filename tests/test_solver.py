@@ -640,10 +640,20 @@ def cholesky_limit(m: int) -> float:
     return 1.0 / (CHOLESKY_MARGIN * m * np.finfo(float).eps)
 
 
+def upper_solve_oracle(u, b):
+    """The back substitution by halves the solver's triangular solve must
+    reproduce bit for bit, joining the halves of X with ``np.concatenate``."""
+    if len(u) <= solver_mod.TRI_INV_LEAF:
+        return np.linalg.solve(u, b)
+    h = len(u) // 2
+    x2 = upper_solve_oracle(u[h:, h:], b[h:])
+    return np.concatenate([upper_solve_oracle(u[:h, :h], b[:h] - u[:h, h:] @ x2), x2])
+
+
 def lower_inverse_oracle(l, out=None):
     """The out-of-place recursion the solver's in-place triangular inverse
     must reproduce bit for bit: X11 and X22 into a fresh array, then
-    ``X21 = solve(L11^T, -(X22 L21)^T)^T``."""
+    ``X21 = upper_solve(L11^T, -(X22 L21)^T)^T``."""
     x = np.zeros_like(l) if out is None else out
     m = len(l)
     if m <= solver_mod.TRI_INV_LEAF:
@@ -652,23 +662,48 @@ def lower_inverse_oracle(l, out=None):
     h = m // 2
     lower_inverse_oracle(l[:h, :h], x[:h, :h])
     lower_inverse_oracle(l[h:, h:], x[h:, h:])
+    x[h:, :h] = upper_solve_oracle(l[:h, :h].T, -(x[h:, h:] @ l[h:, :h]).T).T
+    return x
+
+
+def lu_lower_inverse(l):
+    """The slow reference: the same recursion with each off-diagonal block
+    solved by ``np.linalg.solve`` on the whole upper-triangular ``L11^T``,
+    an LU of a triangular matrix of any size, into a fresh array."""
+    m = len(l)
+    if m <= solver_mod.TRI_INV_LEAF:
+        return np.linalg.inv(l.T).T
+    h = m // 2
+    x = np.zeros_like(l)
+    x[:h, :h] = lu_lower_inverse(l[:h, :h])
+    x[h:, h:] = lu_lower_inverse(l[h:, h:])
     x[h:, :h] = np.linalg.solve(l[:h, :h].T, -(x[h:, h:] @ l[h:, :h]).T).T
     return x
+
+
+def cholesky_factor(m, matrix):
+    """The Cholesky factor of a random SPD matrix with eigenvalues >= 1, or
+    of a Gaussian Gram of spiral points, whose factor has cond_2 up to 7e3."""
+    if matrix == "random":
+        g = np.random.default_rng(m).standard_normal((m, m))
+        a = g @ g.T / m + np.eye(m)
+    else:
+        sites = generate_spiral(max(m, 2)).take(np.arange(m))
+        a = gram(KernelSpec.gaussian(0.3), sites) + 1e-6 * np.eye(m)
+    return np.linalg.cholesky(a)
+
+
+def cholesky_kappa(a):
+    """The solver's bound kappa on cond_2(a) from its own factorization."""
+    return solver_mod._inverse_bound(*solver_mod._cholesky(a))[1]
 
 
 class TestCholeskyArm:
     @pytest.mark.parametrize("m", [1, 2, 255, 256, 257, 513, 1031])
     @pytest.mark.parametrize("matrix", ["random", "gaussian-gram"])
     def test_lower_inverse_right_residual(self, m, matrix):
-        # leaf sizes, one block past the leaf, and two odd recursions; the
-        # Gaussian Gram of spiral points has cond_2(L) up to about 7e3
-        if matrix == "random":
-            g = np.random.default_rng(m).standard_normal((m, m))
-            a = g @ g.T / m + np.eye(m)
-        else:
-            sites = generate_spiral(max(m, 2)).take(np.arange(m))
-            a = gram(KernelSpec.gaussian(0.3), sites) + 1e-6 * np.eye(m)
-        l = np.linalg.cholesky(a)
+        # leaf sizes, one block past the leaf, and two odd recursions
+        l = cholesky_factor(m, matrix)
         given = l.copy()
         x = solver_mod._lower_inverse(given)
         assert x is given
@@ -676,6 +711,42 @@ class TestCholeskyArm:
         assert np.all(np.triu(x, 1) == 0.0)
         resid = np.abs(x @ l - np.eye(m))
         assert np.all(resid <= m * np.finfo(float).eps * (np.abs(x) @ np.abs(l)))
+
+    @pytest.mark.parametrize("m", [257, 512])
+    def test_lower_inverse_up_to_two_leaves_is_the_lu_recursion(self, m):
+        # both halves are leaves, so the off-diagonal block is one leaf solve
+        # and the inverse is the LU-based recursion's, bit for bit
+        l = cholesky_factor(m, "gaussian-gram")
+        assert solver_mod._lower_inverse(l.copy()).tobytes() == lu_lower_inverse(l).tobytes()
+
+    @pytest.mark.parametrize("m, matrix", [(1031, "random"), (1031, "gaussian-gram"),
+                                           (2100, "gaussian-gram")])
+    def test_lower_inverse_agrees_with_lu_recursion(self, m, matrix):
+        # X L = I + E and Y L = I + F with |E| <= m eps |X||L| and
+        # |F| <= m eps |Y||L|, so X - Y = (E - F) L^-1 and, to first order
+        # in eps, |X - Y| <= m eps (|X| + |Y|) |L| |Y|
+        l = cholesky_factor(m, matrix)
+        x, y = solver_mod._lower_inverse(l.copy()), lu_lower_inverse(l)
+        abs_y = np.abs(y)
+        bound = m * np.finfo(float).eps * (((np.abs(x) + abs_y) @ np.abs(l)) @ abs_y)
+        assert np.all(np.abs(x - y) <= bound)
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 1031])
+    @pytest.mark.parametrize("rhs", ["vector", "matrix"])
+    @pytest.mark.parametrize("matrix", ["random", "gaussian-gram"])
+    @pytest.mark.parametrize("shape", ["upper", "reversed-lower"])
+    def test_upper_solve_residual(self, n, rhs, matrix, shape):
+        # the transposed factor, or the factor reversed as fit_full passes it:
+        # |T X - B| <= n eps |T||X|, the bound of a triangular substitution
+        l = cholesky_factor(n, matrix)
+        t = l.T if shape == "upper" else l[::-1, ::-1]
+        rng = np.random.default_rng(n)
+        b = rng.standard_normal(n if rhs == "vector" else (n, 5))
+        x = solver_mod._upper_solve(t, b)
+        assert x.shape == b.shape
+        assert x.tobytes() == upper_solve_oracle(t, b).tobytes()
+        resid = np.abs(t @ x - b)
+        assert np.all(resid <= n * np.finfo(float).eps * (np.abs(t) @ np.abs(x)))
 
     def test_admission_boundary(self, design13):
         # Gaussian sigma = 1 on the first 48 centers: kappa of the system
@@ -688,7 +759,7 @@ class TestCholeskyArm:
         gtg, n, limit = knm.T @ knm, len(design13), cholesky_limit(len(centers))
 
         def kappa(lam):
-            return solver_mod._cholesky_inverse(gtg + (lam * n) * kmm)[1]
+            return cholesky_kappa(gtg + (lam * n) * kmm)
 
         lo, hi = 1e-5, 1e-2
         assert kappa(lo) > limit >= kappa(hi)
@@ -714,7 +785,7 @@ class TestCholeskyArm:
         knm, kmm = cross_matrix(kernel, design13, centers), gram(kernel, centers)
         oracle = per_lambda_eigh_fit(kernel, design13, y, centers, lams)
         for lam, expect in zip(lams, oracle):
-            _, kappa = solver_mod._cholesky_inverse(knm.T @ knm + (lam * len(design13)) * kmm)
+            kappa = cholesky_kappa(knm.T @ knm + (lam * len(design13)) * kmm)
             assert kappa > cholesky_limit(len(centers))
             model = fit_sketched(kernel, design13, y, centers, lam)
             assert model.diagnostics.method == "eig-pinv"
@@ -723,7 +794,8 @@ class TestCholeskyArm:
 
     def test_indefinite_matrix_is_not_factored(self):
         a = np.array([[1.0, 2.0], [2.0, 1.0]])
-        assert solver_mod._cholesky_inverse(a) == (None, np.inf)
+        assert solver_mod._cholesky(a) == (None, np.inf)
+        assert solver_mod._inverse_bound(None, np.inf) == (None, np.inf)
 
 
 # One fit at m = N = 1656 after a small warm-up fit has started the BLAS
@@ -754,7 +826,7 @@ print((peak_kib() - before) * 1024 / (8 * len(sites) ** 2))
 
 class TestWorkingSet:
     """What a fit holds at most, as the solver module docstring states it:
-    max(N m + m^2, 4 m^2) doubles for one lam and max(N m + m^2, 5 m^2)
+    max(N m + m^2, 3 m^2) doubles for one lam and max(N m + m^2, 5 m^2)
     for a whitened sweep, plus one block (slack of 2 MiB here)."""
 
     @pytest.mark.parametrize("data_degree, center_degree, lam, method", [
@@ -762,15 +834,16 @@ class TestWorkingSet:
         (57, 25, 2e-4, "cholesky")])
     def test_one_lambda_fit(self, data_degree, center_degree, lam, method):
         # m = N = 864 on both arms (6.5 m^2 on the Cholesky arm before the
-        # working set was bounded), and N = 1656 > m = 328, where Knm and
-        # Knm^T Knm set the peak
+        # working set was bounded, 4 m^2 before the system took Kmm's
+        # storage), and N = 1656 > m = 328, where Knm and Knm^T Knm set the
+        # peak
         data, centers = load_design(data_degree), load_design(center_degree)
         n, m = len(data), len(centers)
         models = []
         peak = traced_peak(lambda: models.append(
             fit_sketched(KernelSpec.wendland(), data, smooth_values(data), centers, lam)))
         assert models[0].diagnostics.method == method
-        assert peak <= 8 * max(n * m + m * m, 4 * m * m) + 2**21
+        assert peak <= 8 * max(n * m + m * m, 3 * m * m) + 2**21
 
     def test_sweep_through_every_arm(self):
         # m = N = 864: 9.9 m^2 before the working set was bounded
@@ -786,14 +859,17 @@ class TestWorkingSet:
     @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
     def test_one_lambda_fit_resident_growth(self):
         # the resident peak also counts numpy's LAPACK copy of the system,
-        # which tracemalloc does not see: 4 m^2 traced plus that copy, with
-        # room for allocator and BLAS buffer growth (7.3 m^2 before)
+        # which tracemalloc does not see: the system, that copy and the
+        # factor while it is factored, then the system, the factor and one
+        # m x m temporary while it is inverted, 3 m^2 with room for allocator
+        # and BLAS buffer growth (7.3 m^2 before the working set was
+        # bounded, 5.3 m^2 before the system took Kmm's storage)
         src = str(Path(sphfit.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = subprocess.run([sys.executable, "-c", RSS_GROWTH_SCRIPT], env=env,
                              check=True, capture_output=True, text=True).stdout
-        assert float(out) <= 6.0
+        assert float(out) <= 4.0
 
     def test_more_centers_than_sites_refused_before_allocating(self, monkeypatch):
         # N = 12 sites, m = 156 centers: Knm (15 KB) is within a 64 KiB
@@ -804,7 +880,7 @@ class TestWorkingSet:
 
         def fit():
             with pytest.raises(MatrixSizeError, match="sketched fit of 12 sites on 156 "
-                                                      f"centers needs {8 * 4 * 156**2} bytes"):
+                                                      f"centers needs {8 * 3 * 156**2} bytes"):
                 fit_sketched(KernelSpec.wendland(), data, smooth_values(data), centers, 0.0)
 
         assert traced_peak(fit) <= budget + 2**14
@@ -812,7 +888,7 @@ class TestWorkingSet:
     def test_working_set_over_budget_refused_before_allocating(self, monkeypatch):
         # N = m = 864 under a budget of one N x N matrix: each matrix of the
         # fit is within it, the whole working set is not (a one-lam sketched
-        # fit holds 4 m^2 doubles, fit_full up to 3 N^2)
+        # fit holds 3 m^2 doubles, fit_full up to 3 N^2)
         data = load_design(41)
         n = len(data)
         budget = 8 * n * n
@@ -828,7 +904,7 @@ class TestWorkingSet:
         assert_refused(lambda: fit_full(KernelSpec.wendland(), data, y, 2e-4),
                        f"full fit of {n} sites needs {8 * 3 * n * n} bytes")
         assert_refused(lambda: fit_sketched(KernelSpec.wendland(), data, y, data, 2e-4),
-                       f"sketched fit of {n} sites on {n} centers needs {8 * 4 * n * n} bytes")
+                       f"sketched fit of {n} sites on {n} centers needs {8 * 3 * n * n} bytes")
 
 
 class TestValidationAndDiagnostics:
@@ -880,18 +956,33 @@ class TestValidationAndDiagnostics:
                              ids=["wendland", "gaussian"])
     def test_full_shifts_diagonal_in_place_bitwise(self, design13, kernel, monkeypatch):
         # no kernel entry is -0.0, so the in-place diagonal shift equals the
-        # former K + lam*N*I bit for bit; the Cholesky factorization only
-        # certifies that system, and the coefficients are its LU solve
-        factored = []
-        cholesky = np.linalg.cholesky
+        # former K + lam*N*I bit for bit.  That system is factored once, and
+        # the coefficients come from two substitutions with its factor: every
+        # np.linalg.solve is of an upper-triangular block of at most
+        # TRI_INV_LEAF rows (N = 94 is one leaf, N = 328 two), never of the
+        # system, so no LU of it is formed
+        factored, solved = [], []
+        cholesky, solve = np.linalg.cholesky, np.linalg.solve
         monkeypatch.setattr(np.linalg, "cholesky",
                             lambda a: factored.append(a.copy()) or cholesky(a))
-        lam, n, y = 1e-3, len(design13), smooth_values(design13)
-        model = fit_full(kernel, design13, y, lam)
-        old = gram(kernel, design13) + (lam * n) * np.eye(n)
-        assert len(factored) == 1 and np.array_equal(factored[0], old)
-        assert model.diagnostics.method == "cholesky"
-        assert np.array_equal(model.coefficients, np.linalg.solve(old, y))
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: solved.append(np.array(a)) or solve(a, b))
+        for sites, leaves in ((design13, 1), (load_design(25), 2)):
+            factored.clear()
+            solved.clear()
+            lam, n, y = 1e-3, len(sites), smooth_values(sites)
+            model = fit_full(kernel, sites, y, lam)
+            old = gram(kernel, sites) + (lam * n) * np.eye(n)
+            assert len(factored) == 1 and np.array_equal(factored[0], old)
+            assert model.diagnostics.method == "cholesky"
+            assert len(solved) == 2 * leaves
+            for a in solved:
+                assert len(a) <= solver_mod.TRI_INV_LEAF and np.all(np.tril(a, -1) == 0.0)
+            # both solves are backward stable, so they differ by at most about
+            # n eps cond_2 relative
+            ref = solve(old, y)
+            assert (np.linalg.norm(model.coefficients - ref)
+                    <= n * np.finfo(float).eps * np.linalg.cond(old) * np.linalg.norm(ref))
 
     def test_full_falls_back_to_pseudo_inverse(self, design13, monkeypatch):
         def indefinite(a):
