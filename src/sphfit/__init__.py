@@ -12,9 +12,9 @@ from .data import (Dataset, NoiseModel, TargetFunction, franke_f1,
                    load_dataset, make_dataset, rmse, sample_truncated_gaussian,
                    save_dataset, wendland_target_f2)
 from .designs import available_degrees, design_path, load_design
-from .harness import (ExperimentConfig, GridSpec, ResultRow, SketchMethod,
-                      grid_search, parse_config, run_simulation1,
-                      run_simulation2, run_simulation3, select_sketch)
+from .harness import (ExperimentConfig, GridSpec, ResultRow, grid_search,
+                      parse_config, run_simulation1, run_simulation2,
+                      run_simulation3)
 from .kernels import KernelSpec, cross_matrix, gram
 from .legendre import DesignReport, harmonic_residuals, verify_design
 from .points import (PointSet, eq_area_centers, generate_spiral,
@@ -31,9 +31,8 @@ __all__ = [
     "make_dataset", "rmse", "sample_truncated_gaussian", "save_dataset",
     "wendland_target_f2",
     "available_degrees", "design_path", "load_design",
-    "ExperimentConfig", "GridSpec", "ResultRow", "SketchMethod",
-    "grid_search", "parse_config", "run_simulation1", "run_simulation2",
-    "run_simulation3", "select_sketch",
+    "ExperimentConfig", "GridSpec", "ResultRow", "grid_search",
+    "parse_config", "run_simulation1", "run_simulation2", "run_simulation3",
     "KernelSpec", "cross_matrix", "gram",
     "DesignReport", "harmonic_residuals", "verify_design",
     "PointSet", "eq_area_centers", "generate_spiral", "load_point_file",

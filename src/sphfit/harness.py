@@ -1,12 +1,14 @@
-"""Experiment drivers: sketch selection, grid search, and simulations 1-3.
+"""Experiment drivers: grid search over a center set, and simulations 1-3.
 
 Simulation 1 sweeps the design degree s* for several noise levels with
 design sketching.  Simulation 2 compares the three sketching methods
 (first-m, random-m, design) at matched sketch sizes across noise levels.
 Simulation 3 exports a dense pointwise error field for one fitted model.
+A sketching method only chooses the centers, and each driver chooses them
+itself: the s*-design, or the first or a seeded random m training points.
 Every simulation reaches its fits through one function, :func:`grid_search`,
-which searches the (lambda, sigma) grid for several datasets on one training
-set, such as the noise levels of a simulation.
+which searches the (lambda, sigma) grid on one center set for several
+datasets on one training set, such as the noise levels of a simulation.
 
 Seeding policy: one base seed drives everything.  Training noise uses the
 base seed itself for every noise level, so noise draws are proportional
@@ -97,62 +99,6 @@ class GridSpec:
         raise ConfigError(f"unknown target {target_name!r}")
 
 
-# -- sketch selection -------------------------------------------------------
-
-@dataclass(frozen=True)
-class SketchMethod:
-    """How the center set is chosen: ``first``, ``random``, or ``design``."""
-
-    variant: str
-    m: int | None = None            # first/random
-    seed: int | None = None         # random
-    s_star: int | None = None       # design
-    design_dir: str | None = None   # design; None = bundled files
-
-    def __post_init__(self):
-        if self.variant in ("first", "random"):
-            if self.m is None or self.m < 1:
-                raise ValueError(f"{self.variant} sketch needs m >= 1")
-            if self.variant == "random" and self.seed is None:
-                raise ValueError("random sketch needs a seed")
-        elif self.variant == "design":
-            if self.s_star is None or self.s_star < 1 or self.s_star % 2 == 0:
-                raise ValueError("design sketch needs an odd positive s_star")
-        else:
-            raise ValueError(f"unknown sketch variant {self.variant!r}")
-
-    @classmethod
-    def first(cls, m: int) -> "SketchMethod":
-        return cls("first", m=m)
-
-    @classmethod
-    def random(cls, m: int, seed: int) -> "SketchMethod":
-        return cls("random", m=m, seed=seed)
-
-    @classmethod
-    def design(cls, s_star: int, design_dir=None) -> "SketchMethod":
-        return cls("design", s_star=s_star,
-                   design_dir=None if design_dir is None else str(design_dir))
-
-
-def select_sketch(method: SketchMethod, training: PointSet) -> PointSet:
-    """Resolve a sketch method to a concrete center set.
-
-    ``first`` and ``random`` pick training points (file order / seeded
-    uniform without replacement); ``design`` loads the s*-design, whose
-    points need not belong to the training set.
-    """
-    if method.variant == "design":
-        return load_design(method.s_star, method.design_dir)
-    if method.m > len(training):
-        raise ValueError(f"m={method.m} exceeds training size {len(training)}")
-    if method.variant == "first":
-        return training.take(np.arange(method.m))
-    rng = np.random.default_rng(method.seed)
-    idx = np.sort(rng.choice(len(training), size=method.m, replace=False))
-    return training.take(idx)
-
-
 # -- grid search ------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -178,10 +124,10 @@ class ResultRow:
 
 
 def grid_search(datasets: list[Dataset], test: tuple[PointSet, np.ndarray],
-                method: SketchMethod, grid: GridSpec,
-                s_star: int | None = None) -> list[ResultRow]:
-    """Exhaustive (lambda, sigma) search minimizing test RMSE, one row per
-    dataset.
+                centers: PointSet, grid: GridSpec, method: str,
+                s_star: int) -> list[ResultRow]:
+    """Exhaustive (lambda, sigma) search minimizing test RMSE for the sketch
+    ``centers``, one row per dataset.
 
     The datasets (for example one per noise level) must share the same
     ``inputs`` object and target.  They are fitted from one
@@ -199,15 +145,15 @@ def grid_search(datasets: list[Dataset], test: tuple[PointSet, np.ndarray],
     row reports the selected model as the sweep scored it; ``fit_seconds``
     is that model's ``diagnostics.wall_time``.
 
-    ``s_star`` labels the rows; for design sketching it defaults to the
-    method's own degree.
+    ``method`` (how ``centers`` was chosen: ``first``, ``random`` or
+    ``design``) and ``s_star`` only label the rows.
     """
-    return [row for row, _ in _search(datasets, test, method, grid, s_star)]
+    return [row for row, _ in _search(datasets, test, centers, grid, method, s_star)]
 
 
 def _search(datasets: list[Dataset], test: tuple[PointSet, np.ndarray],
-            method: SketchMethod, grid: GridSpec,
-            s_star: int | None) -> list[tuple[ResultRow, FittedModel]]:
+            centers: PointSet, grid: GridSpec, method: str,
+            s_star: int) -> list[tuple[ResultRow, FittedModel]]:
     """The grid search behind :func:`grid_search`: each dataset's row
     together with the model it selected."""
     if not datasets:
@@ -218,11 +164,6 @@ def _search(datasets: list[Dataset], test: tuple[PointSet, np.ndarray],
     if any(d.inputs is not inputs or d.target.name != target_name for d in datasets):
         raise ValueError("datasets of one grid search must share their inputs and target")
     test_points, test_labels = test
-    centers = select_sketch(method, inputs)
-    if s_star is None:
-        if method.variant != "design":
-            raise ValueError("s_star label required for first/random sketching")
-        s_star = method.s_star
 
     # Every sigma is fitted first; then one pass over the test grid scores
     # every lambda of every sigma and dataset.
@@ -251,10 +192,10 @@ def _search(datasets: list[Dataset], test: tuple[PointSet, np.ndarray],
             best[k] = (key, model)
     if any(b is None for b in best):
         raise GridSearchError(
-            f"all grid cells failed for method={method.variant}: "
+            f"all grid cells failed for method={method}: "
             + "; ".join(failures[:5]))
 
-    return [(ResultRow(target_name, data.noise.delta, method.variant, s_star,
+    return [(ResultRow(target_name, data.noise.delta, method, s_star,
                        len(centers), len(centers) / len(data), model.lam,
                        model.kernel.sigma, err, model.diagnostics.wall_time), model)
             for data, ((err, _, _), model) in zip(datasets, best)]
@@ -438,8 +379,8 @@ def run_simulation1(cfg: ExperimentConfig) -> list[ResultRow]:
     rows = []
     for grid, datasets in _grid_groups(cfg, training, target, cfg.sim1_deltas()):
         for s_star in cfg.sim1_s_stars():
-            method = SketchMethod.design(s_star, cfg.design_dir)
-            rows += grid_search(datasets, test, method, grid)
+            rows += grid_search(datasets, test, load_design(s_star, cfg.design_dir),
+                                grid, "design", s_star)
     return sort_rows(rows)
 
 
@@ -452,19 +393,23 @@ def run_simulation2(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[tuple[
     """
     training, target, test = _training_and_test(cfg)
     _check_s_stars(cfg, cfg.sim2_s_stars())
+    designs = {s: load_design(s, cfg.design_dir) for s in cfg.sim2_s_stars()}
+    for s_star, design in designs.items():
+        # the first and random sketches take m = len(design) training points
+        if len(design) > len(training):
+            raise ConfigError(
+                f"s_star={s_star}: its design has m={len(design)} points, more than "
+                f"the N={len(training)} training points a matched sketch picks from")
+    seeds = [cfg.base_seed + 1 + i for i in range(cfg.n_seeds)]
     main, detail = [], []
     for grid, datasets in _grid_groups(cfg, training, target, cfg.sim2_deltas()):
-        for s_star in cfg.sim2_s_stars():
-            design_method = SketchMethod.design(s_star, cfg.design_dir)
-            design_rows = grid_search(datasets, test, design_method, grid)
-            m = design_rows[0].m    # matched sketch size for all three methods
-
-            first_rows = grid_search(
-                datasets, test, SketchMethod.first(m), grid, s_star=s_star)
-
-            seeds = [cfg.base_seed + 1 + i for i in range(cfg.n_seeds)]
-            seed_rows = [grid_search(datasets, test, SketchMethod.random(m, seed),
-                                     grid, s_star=s_star) for seed in seeds]
+        for s_star, design in designs.items():
+            m = len(design)     # matched sketch size for all three methods
+            design_rows = grid_search(datasets, test, design, grid, "design", s_star)
+            first_rows = grid_search(datasets, test, training.take(np.arange(m)),
+                                     grid, "first", s_star)
+            seed_rows = [grid_search(datasets, test, _random_sketch(training, m, seed),
+                                     grid, "random", s_star) for seed in seeds]
             # seed_rows[i][k] is seed i on dataset k
             for k, (first_row, design_row) in enumerate(zip(first_rows, design_rows)):
                 per_seed = [rows[k] for rows in seed_rows]
@@ -472,6 +417,13 @@ def run_simulation2(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[tuple[
                 detail += zip(seeds, per_seed)
     detail.sort(key=lambda sr: (sr[1].target, sr[1].delta, sr[1].s_star, sr[0]))
     return sort_rows(main), detail
+
+
+def _random_sketch(training: PointSet, m: int, seed: int) -> PointSet:
+    """``m`` training points drawn uniformly without replacement by ``seed``,
+    in file order."""
+    rng = np.random.default_rng(seed)
+    return training.take(np.sort(rng.choice(len(training), size=m, replace=False)))
 
 
 def _summarize_random(seed_rows: list[ResultRow]) -> ResultRow:
@@ -502,8 +454,8 @@ def run_simulation3(cfg: ExperimentConfig) -> FieldExport:
     _check_s_stars(cfg, [cfg.sim3_s_star])
     data = _dataset(training, target, cfg.sim3_delta, cfg)
     grid = GridSpec.for_target(cfg.target, noisy=cfg.sim3_delta > 0)
-    method = SketchMethod.design(cfg.sim3_s_star, cfg.design_dir)
-    _, model = _search([data], test, method, grid, None)[0]
+    centers = load_design(cfg.sim3_s_star, cfg.design_dir)
+    _, model = _search([data], test, centers, grid, "design", cfg.sim3_s_star)[0]
 
     dense = generate_spiral(cfg.sim3_grid_n)
     exact = target(dense)

@@ -43,9 +43,10 @@ if the pseudo-inverse needs it, so a sweep holds max(N m + m^2, 5 m^2)
 doubles.  Each model adds its m coefficients.  ``fit_full`` holds its
 N x N system and the factor that certifies it, 2 N^2 doubles, plus numpy's
 LAPACK copy of the system while it is factored; it frees the system before
-the substitutions, and holds 3 N^2 on its pseudo-inverse fallback.  Each
-fit checks these doubles (3 N^2 for ``fit_full``) against the memory budget
-before it allocates anything.
+the substitutions, and holds 2 N^2 on its pseudo-inverse fallback, which
+frees the system before the kept eigenvectors are copied out.  Each fit
+checks these doubles (3 N^2 for ``fit_full``, to cover the LAPACK copy)
+against the memory budget before it allocates anything.
 """
 
 from __future__ import annotations
@@ -380,7 +381,11 @@ def fit_full(kernel: KernelSpec, data: PointSet, values, lam: float) -> FittedMo
     try:
         l = np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
-        w, v = _kept_eigenpairs(*np.linalg.eigh(shifted))
+        l = None    # solved outside the handler, whose traceback holds the system
+    if l is None:
+        w, v = np.linalg.eigh(shifted)
+        del shifted     # released before the kept eigenvectors are copied
+        w, v = _kept_eigenpairs(w, v)
         coef = v @ ((v.T @ y) / w)
         method, rank = "eig-pinv", len(w)
     else:

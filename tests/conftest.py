@@ -1,9 +1,10 @@
+import shutil
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from sphfit import load_design
+from sphfit import design_path, load_design
 
 
 @pytest.fixture(scope="session")
@@ -14,6 +15,18 @@ def design13():
 @pytest.fixture(scope="session")
 def design17():
     return load_design(17)
+
+
+@pytest.fixture
+def oversized_design_dir(tmp_path):
+    """A design directory whose degree-3 file holds the 48 points of the
+    bundled t = 9 design and whose degree-5 file holds the 12 points of the
+    t = 5 design: with t = 5 training, the s* = 3 design outnumbers it."""
+    directory = tmp_path / "designs"
+    directory.mkdir()
+    shutil.copy(design_path(9), directory / "t003_n00048.txt")
+    shutil.copy(design_path(5), directory / "t005_n00012.txt")
+    return directory
 
 
 @pytest.fixture

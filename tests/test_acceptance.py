@@ -17,7 +17,7 @@ from sphfit.cli import main as cli_main
 from sphfit.data import (NoiseModel, TargetFunction, make_dataset, rmse,
                          sample_truncated_gaussian)
 from sphfit.designs import load_design
-from sphfit.harness import GridSpec, SketchMethod, grid_search
+from sphfit.harness import GridSpec, _random_sketch, grid_search
 from sphfit.kernels import KernelSpec, cross_matrix, gram
 from sphfit.legendre import verify_design
 from sphfit.points import PointSet, generate_spiral
@@ -52,17 +52,20 @@ class DeskBench:
                 self.training, self.target, NoiseModel(delta, BASE_SEED))
         return self._data[delta]
 
-    def search(self, delta, method, s_star=None):
-        """One sketch's row at ``delta``.  The rows of every desk delta are
-        computed together, so each lambda's system is decomposed once for
-        all noise levels."""
-        if (delta, method) not in self._rows:
+    def search(self, delta, centers, method="design", s_star=None):
+        """The row at ``delta`` of the sketch ``centers``, labelled ``method``
+        and ``s_star`` (by default the design's own degree).  The rows of
+        every desk delta are computed together, so each lambda's system is
+        decomposed once for all noise levels."""
+        s_star = centers.design_degree if s_star is None else s_star
+        key = (method, s_star, centers.xyz.tobytes())
+        if (delta, key) not in self._rows:
             grids = {GridSpec.for_target("f2", noisy=d > 0) for d in DESK_DELTAS}
             assert len(grids) == 1      # the f2 grid does not depend on the noise
             rows = grid_search([self.dataset(d) for d in DESK_DELTAS],
-                               self.test, method, grids.pop(), s_star=s_star)
-            self._rows.update({(d, method): row for d, row in zip(DESK_DELTAS, rows)})
-        return self._rows[(delta, method)]
+                               self.test, centers, grids.pop(), method, s_star)
+            self._rows.update({(d, key): row for d, row in zip(DESK_DELTAS, rows)})
+        return self._rows[(delta, key)]
 
 
 @pytest.fixture(scope="module")
@@ -119,14 +122,14 @@ def test_03_exact_representation():
 
 
 def test_04_noise_plateau(bench):
-    baseline_noisy = bench.search(0.5, SketchMethod.design(57)).rmse
-    candidates = {s: bench.search(0.5, SketchMethod.design(s)).rmse
+    baseline_noisy = bench.search(0.5, load_design(57)).rmse
+    candidates = {s: bench.search(0.5, load_design(s)).rmse
                   for s in (9, 13, 17, 21, 25)}
     best_s, best = min(candidates.items(), key=lambda kv: kv[1])
     plateau_ok = best <= 1.2 * baseline_noisy
 
-    baseline_clean = bench.search(0.0, SketchMethod.design(57)).rmse
-    small_clean = bench.search(0.0, SketchMethod.design(9)).rmse
+    baseline_clean = bench.search(0.0, load_design(57)).rmse
+    small_clean = bench.search(0.0, load_design(9)).rmse
     gap_ok = small_clean > 2.0 * baseline_clean
 
     ok = plateau_ok and gap_ok
@@ -138,13 +141,13 @@ def test_04_noise_plateau(bench):
 
 def test_05_method_ordering(bench):
     delta, s_star = 0.1, 9
-    design_row = bench.search(delta, SketchMethod.design(s_star))
+    design_row = bench.search(delta, load_design(s_star))
     m = design_row.m
     assert m == 48
-    first = bench.search(delta, SketchMethod.first(m), s_star=s_star).rmse
+    first = bench.search(delta, bench.training.take(np.arange(m)), "first", s_star).rmse
     random_mean = float(np.mean(
-        [bench.search(delta, SketchMethod.random(m, BASE_SEED + 1 + i),
-                      s_star=s_star).rmse for i in range(10)]))
+        [bench.search(delta, _random_sketch(bench.training, m, BASE_SEED + 1 + i),
+                      "random", s_star).rmse for i in range(10)]))
     design = design_row.rmse
     ok = design <= random_mean <= first and design < 0.9 * first
     _report(5, "method ordering", ok,
@@ -153,7 +156,7 @@ def test_05_method_ordering(bench):
 
 
 def test_06_monotone_noise_response(bench):
-    errs = [bench.search(d, SketchMethod.design(25)).rmse for d in DESK_DELTAS]
+    errs = [bench.search(d, load_design(25)).rmse for d in DESK_DELTAS]
     ok = all(b >= a * (1 - 0.05) for a, b in zip(errs, errs[1:]))
     _report(6, "monotone noise response", ok,
             "rmse by delta " + ", ".join(f"{d}:{e:.4f}"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import sphfit
+import sphfit.harness as harness
 from sphfit.cli import main
 from sphfit.data import load_dataset
 from sphfit.designs import design_path
@@ -389,6 +390,26 @@ class TestSimulate:
         rc = main(["simulate", "--sim", "1", "--config", str(ini),
                    "--out-dir", str(tmp_path / "o")])
         assert rc == 3
+
+    def test_sim2_design_larger_than_training_exits_2_before_fitting(
+            self, tmp_path, capsys, monkeypatch, oversized_design_dir):
+        # the s* = 3 file holds 48 points and the t = 5 training set 12, so
+        # the matched first and random sketches cannot be drawn
+        fits = []
+        fit = harness.fit_sketched_multi
+        monkeypatch.setattr(harness, "fit_sketched_multi",
+                            lambda *args: fits.append(args) or fit(*args))
+        ini = tmp_path / "oversized.ini"
+        ini.write_text("[experiment]\nt = 5\n[noise]\ndeltas = 0.1\n"
+                       f"[sketch]\ns_stars = 3\ndesign_dir = {oversized_design_dir}\n"
+                       "[test]\nn_points = 50\n")
+        rc = main(["simulate", "--sim", "2", "--config", str(ini),
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert all(word in err for word in ("s_star=3", "m=48", "N=12")), err
+        assert fits == []
+        assert not (tmp_path / "o" / "sim2.csv").exists()
 
 
 @pytest.mark.parametrize("line", ["deltas = 0.1, 0.1", "s_stars = 5, 5"])

@@ -8,10 +8,10 @@ from sphfit.data import Dataset, NoiseModel, TargetFunction, make_dataset, rmse
 from sphfit.designs import load_design
 from sphfit.harness import (SIM1_DELTAS, SIM2_S_STARS, ConfigError,
                             ExperimentConfig, GridSearchError, GridSpec,
-                            ResultRow, SketchMethod, grid_search, lambda_grid,
+                            ResultRow, _random_sketch, grid_search, lambda_grid,
                             parse_config, read_results_csv,
                             run_simulation1, run_simulation2, run_simulation3,
-                            select_sketch, sigma_grid, sort_rows,
+                            sigma_grid, sort_rows,
                             write_field_csv, write_results_csv,
                             write_seed_detail_csv)
 from sphfit.kernels import KernelSpec
@@ -119,13 +119,12 @@ class TestGrids:
 
 class TestSketchSelection:
     def test_first_takes_file_order(self, design13):
-        centers = select_sketch(SketchMethod.first(5), design13)
+        centers = design13.take(np.arange(5))
         assert np.array_equal(centers.xyz, design13.xyz[:5])
 
     def test_random_is_seeded_subset(self, design13):
-        method = SketchMethod.random(10, seed=4)
-        a = select_sketch(method, design13)
-        b = select_sketch(method, design13)
+        a = _random_sketch(design13, 10, seed=4)
+        b = _random_sketch(design13, 10, seed=4)
         assert np.array_equal(a.xyz, b.xyz)
         # every center is a training point, no repeats
         matches = (a.xyz[:, None, :] == design13.xyz[None, :, :]).all(axis=2)
@@ -133,28 +132,16 @@ class TestSketchSelection:
         assert len(np.unique(matches.argmax(axis=1))) == 10
 
     def test_random_seed_changes_subset(self, design13):
-        a = select_sketch(SketchMethod.random(10, seed=4), design13)
-        b = select_sketch(SketchMethod.random(10, seed=5), design13)
+        a = _random_sketch(design13, 10, seed=4)
+        b = _random_sketch(design13, 10, seed=5)
         assert not np.array_equal(a.xyz, b.xyz)
 
-    def test_design_ignores_training(self, design13):
-        centers = select_sketch(SketchMethod.design(9), design13)
-        assert len(centers) == 48
-        assert centers.design_degree == 9
-
-    def test_oversized_m_rejected(self, design13):
-        with pytest.raises(ValueError, match="exceeds"):
-            select_sketch(SketchMethod.first(95), design13)
-
-    def test_method_validation(self):
-        with pytest.raises(ValueError, match="seed"):
-            SketchMethod("random", m=5)
-        with pytest.raises(ValueError, match="odd"):
-            SketchMethod.design(8)
-        with pytest.raises(ValueError, match="m >= 1"):
-            SketchMethod.first(0)
-        with pytest.raises(ValueError, match="variant"):
-            SketchMethod("cluster", m=5)
+    def test_oversized_m_rejected(self, oversized_design_dir):
+        # the first and random sketches of simulation 2 take m = 48 of the
+        # N = 12 training points: refused before any search
+        cfg = toy_config(t=5, s_stars=(3,), design_dir=str(oversized_design_dir))
+        with pytest.raises(ConfigError, match=r"s_star=3: .* m=48 .* N=12 "):
+            run_simulation2(cfg)
 
 
 class TestResultRow:
@@ -186,27 +173,18 @@ class TestGridSearch:
                        TargetFunction.by_name("f1"), NoiseModel(0.0, seed=1))
         test = generate_spiral(50)
         grid = GridSpec(lambdas=(1.0, 0.5, 0.25), sigmas=(0.1, 0.2, 0.4))
-        [row] = grid_search([data], (test, np.zeros(50)),
-                            SketchMethod.first(10), grid, s_star=13)
+        [row] = grid_search([data], (test, np.zeros(50)), design13.take(np.arange(10)),
+                            grid, "first", 13)
         assert row.lam == 1.0
         assert row.sigma == 0.4
         assert row.rmse == 0.0
-
-    def test_label_required_for_first(self, design13):
-        data = make_dataset(design13, TargetFunction.by_name("f2"),
-                            NoiseModel(0.0, seed=1))
-        test = generate_spiral(50)
-        with pytest.raises(ValueError, match="s_star label"):
-            grid_search([data], (test, np.zeros(50)), SketchMethod.first(10),
-                        GridSpec(lambdas=(1.0,)))
 
     def test_design_row_shape(self, design13):
         target = TargetFunction.by_name("f2")
         data = make_dataset(design13, target, NoiseModel(0.0, seed=1))
         test_pts = generate_spiral(200)
-        [row] = grid_search([data], (test_pts, target(test_pts)),
-                            SketchMethod.design(9),
-                            GridSpec(lambdas=(1e-4, 1e-6, 1e-8)))
+        [row] = grid_search([data], (test_pts, target(test_pts)), load_design(9),
+                            GridSpec(lambdas=(1e-4, 1e-6, 1e-8)), "design", 9)
         assert row.method == "design"
         assert row.s_star == 9
         assert row.m == 48
@@ -232,8 +210,7 @@ class TestGridSearch:
                                      data.labels, centers, lam)
                 key = (rmse(model, test_pts, test_labels), -lam, -sigma)
                 best = key if best is None else min(best, key)
-        [row] = grid_search([data], (test_pts, test_labels), SketchMethod.first(10),
-                            grid, s_star=13)
+        [row] = grid_search([data], (test_pts, test_labels), centers, grid, "first", 13)
         assert row.lam == -best[1]
         assert row.sigma == -best[2]
         # fit_sketched solves one lam by its own Cholesky factor or
@@ -251,33 +228,33 @@ class TestGridSearch:
         data = make_dataset(design13, target, NoiseModel(0.1, seed=7))
         test_pts = generate_spiral(300)
         grid = GridSpec(lambdas=(1e-2, 1e-4, 1e-6, 1e-8), sigmas=(0.2, 0.5, 1.0))
-        method = SketchMethod.first(10)
+        centers = design13.take(np.arange(10))
         # blocks of 64 rows: four full ones and a ragged last one of 44
         monkeypatch.setattr(points_mod, "BLOCK_BYTES", 8 * 10 * 64)
         calls = spy_test_kernels(monkeypatch)
-        grid_search([data], (test_pts, target(test_pts)), method, grid, s_star=13)
+        grid_search([data], (test_pts, target(test_pts)), centers, grid, "first", 13)
         kernels = [KernelSpec.gaussian(sigma) for sigma in grid.sigmas]
         blocks = blocks_of(calls)
         assert [len(dot) for dot, _ in blocks] == [64, 64, 64, 64, 44]
         assert all(specs == kernels for _, specs in blocks)
-        assert_tiles_test_grid(blocks, test_pts, select_sketch(method, design13))
+        assert_tiles_test_grid(blocks, test_pts, centers)
 
     def test_all_cells_failing_raises(self, design13):
         bad = Dataset(design13, np.full(len(design13), np.nan),
                       TargetFunction.by_name("f2"), NoiseModel(0.0, seed=1))
         test = generate_spiral(50)
         with pytest.raises(GridSearchError, match="all grid cells failed"):
-            grid_search([bad], (test, np.zeros(50)), SketchMethod.design(9),
-                        GridSpec(lambdas=(1e-3,)))
+            grid_search([bad], (test, np.zeros(50)), load_design(9),
+                        GridSpec(lambdas=(1e-3,)), "design", 9)
 
 
 class TestGridSearchMulti:
     """grid_search over several datasets on one training set."""
 
     @pytest.mark.parametrize("target_name, method, grid", [
-        ("f1", SketchMethod.first(20),
+        ("f1", "first",
          GridSpec(lambdas=(1e-2, 1e-4, 1e-6, 1e-8), sigmas=(0.2, 0.5, 1.0))),
-        ("f2", SketchMethod.design(9), GridSpec.for_target("f2", noisy=True)),
+        ("f2", "design", GridSpec.for_target("f2", noisy=True)),
     ], ids=["f1-sigma-sweep", "f2"])
     def test_rows_match_per_dataset_grid_search(self, design13, target_name, method, grid):
         target = TargetFunction.by_name(target_name)
@@ -285,8 +262,9 @@ class TestGridSearchMulti:
                     for delta in (0.0, 0.01, 0.1)]
         test_pts = generate_spiral(300)
         test = (test_pts, target(test_pts))
-        rows = grid_search(datasets, test, method, grid, s_star=9)
-        singles = [grid_search([d], test, method, grid, s_star=9)[0] for d in datasets]
+        centers = design13.take(np.arange(20)) if method == "first" else load_design(9)
+        rows = grid_search(datasets, test, centers, grid, method, 9)
+        singles = [grid_search([d], test, centers, grid, method, 9)[0] for d in datasets]
         assert [r.delta for r in rows] == [0.0, 0.01, 0.1]
         assert all(r.fit_seconds > 0 for r in rows)
         # The selection is identical.  The RMSE is not bitwise: the sweep
@@ -304,18 +282,18 @@ class TestGridSearchMulti:
         b = make_dataset(copy, target, NoiseModel(0.1, seed=1))
         test = generate_spiral(50)
         with pytest.raises(ValueError, match="share their inputs"):
-            grid_search([a, b], (test, np.zeros(50)), SketchMethod.design(9),
-                        GridSpec(lambdas=(1e-3,)))
+            grid_search([a, b], (test, np.zeros(50)), load_design(9),
+                        GridSpec(lambdas=(1e-3,)), "design", 9)
 
     def test_rejects_mixed_targets_and_empty_list(self, design13):
         a = make_dataset(design13, TargetFunction.by_name("f1"), NoiseModel(0.0, seed=1))
         b = make_dataset(design13, TargetFunction.by_name("f2"), NoiseModel(0.0, seed=1))
         test = (generate_spiral(50), np.zeros(50))
         with pytest.raises(ValueError, match="target"):
-            grid_search([a, b], test, SketchMethod.design(9),
-                        GridSpec(lambdas=(1e-3,), sigmas=(0.5,)))
+            grid_search([a, b], test, load_design(9),
+                        GridSpec(lambdas=(1e-3,), sigmas=(0.5,)), "design", 9)
         with pytest.raises(ValueError, match="at least one dataset"):
-            grid_search([], test, SketchMethod.design(9), GridSpec(lambdas=(1e-3,)))
+            grid_search([], test, load_design(9), GridSpec(lambdas=(1e-3,)), "design", 9)
 
 
 class TestConfig:

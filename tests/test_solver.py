@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from sphfit.data import NoiseModel, TargetFunction, make_dataset, rmse
 from sphfit.designs import load_design
-from sphfit.harness import GridSpec, SketchMethod, select_sketch
+from sphfit.harness import GridSpec
 from sphfit.kernels import KernelSpec, MatrixSizeError, cross_matrix, gram, zonal_value
 from sphfit.points import PointSet, generate_spiral
 import sphfit
@@ -281,7 +281,7 @@ class TestPredict:
         # conditioned: at lam = 1e-6 the coefficients reach about 1e3, and the
         # GEMM and the GEMV differ by about 5e-13 absolute.
         data = make_dataset(design13, TargetFunction.by_name("f1"), NoiseModel(0.01, seed=7))
-        centers = select_sketch(SketchMethod.first(20), design13)
+        centers = design13.take(np.arange(20))
         models = fit_sketched_multi(KernelSpec.gaussian(1.0), design13, [data.labels],
                                     centers, [1e-2, 1e-4, 1e-6, 1e-8])[0]
         large = models[2]
@@ -546,7 +546,7 @@ class TestWhitenedGuard:
         training = load_design(33)
         data = make_dataset(training, TargetFunction.by_name("f1"),
                             NoiseModel(0.1, seed=1234))
-        centers = select_sketch(SketchMethod.first(48), training)
+        centers = training.take(np.arange(48))
         grid = GridSpec.for_target("f1", noisy=True)
         methods, truncated = [], 0
         for sigma in grid.sigmas:
@@ -856,6 +856,21 @@ class TestWorkingSet:
             "whitened-eig", "cholesky", "eig-pinv"]
         assert peak <= 8 * 5 * m * m + 2**21
 
+    def test_fit_full_pseudo_inverse_fallback(self, monkeypatch):
+        # N = 864 with the certificate failing: the system is freed before
+        # the kept eigenvectors are copied, so eigh's output and that copy
+        # are the peak, 2 N^2 (3 N^2 while the system stayed referenced)
+        def indefinite(a):
+            raise np.linalg.LinAlgError("not positive definite")
+        monkeypatch.setattr(np.linalg, "cholesky", indefinite)
+        sites = load_design(41)
+        n = len(sites)
+        models = []
+        peak = traced_peak(lambda: models.append(
+            fit_full(KernelSpec.wendland(), sites, smooth_values(sites), 2e-4)))
+        assert models[0].diagnostics.method == "eig-pinv"
+        assert peak <= 8 * 2 * n * n + 2**21
+
     @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
     def test_one_lambda_fit_resident_growth(self):
         # the resident peak also counts numpy's LAPACK copy of the system,
@@ -888,7 +903,8 @@ class TestWorkingSet:
     def test_working_set_over_budget_refused_before_allocating(self, monkeypatch):
         # N = m = 864 under a budget of one N x N matrix: each matrix of the
         # fit is within it, the whole working set is not (a one-lam sketched
-        # fit holds 3 m^2 doubles, fit_full up to 3 N^2)
+        # fit holds 3 m^2 doubles, fit_full 2 N^2 plus numpy's LAPACK copy
+        # of the system while it is factored)
         data = load_design(41)
         n = len(data)
         budget = 8 * n * n
