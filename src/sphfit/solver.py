@@ -29,24 +29,29 @@ blocks.  numpy.linalg is the only linear-algebra library, so one BLAS
 serves every fit.
 
 Working set.  ``Knm`` (N x m) is freed as soon as ``Knm^T Knm`` and every
-``Knm^T y`` exist, and only then is ``Kmm`` built.  A one-lam fit forms its
-system in Kmm's storage and frees ``Knm^T Knm``; it factors the system into
-a new array and inverts the factor there, keeping the system for the
-pseudo-inverse, which frees it before the kept eigenvectors are copied out.
-So a one-lam fit holds at most max(N m + m^2, 3 m^2) doubles (the system,
-its factor and one m x m temporary of the condition bound), plus one kernel
-block (``BLOCK_BYTES``) and numpy's LAPACK copy of the system while it is
-factored.  A sweep of several lams keeps ``Knm^T Knm``, ``Kmm`` and the
-whitened basis, and its whitening holds two m x m products at once: each
-lam's system is freed once factored and formed again, with the same bits,
-if the pseudo-inverse needs it, so a sweep holds max(N m + m^2, 5 m^2)
-doubles.  Each model adds its m coefficients.  ``fit_full`` holds its
-N x N system and the factor that certifies it, 2 N^2 doubles, plus numpy's
-LAPACK copy of the system while it is factored; it frees the system before
-the substitutions, and holds 2 N^2 on its pseudo-inverse fallback, which
-frees the system before the kept eigenvectors are copied out.  Each fit
-checks these doubles (3 N^2 for ``fit_full``, to cover the LAPACK copy)
-against the memory budget before it allocates anything.
+``Knm^T y`` exist, and only then is ``Kmm`` built.  Every Cholesky
+factorization is written over its system and the factor is inverted in
+place; while it runs, numpy holds its copy of one half-size block and that
+block's factor, m^2 / 2 doubles (:func:`_cholesky_in_place`).  A one-lam
+fit forms its system in Kmm's storage and frees ``Knm^T Knm``, so its
+Cholesky arm holds at most max(N m + m^2, 2 m^2) doubles (the system and
+the m x m temporary of its 1-norm), plus one kernel block
+(``BLOCK_BYTES``).  A factorization that fails or is rejected leaves no
+system behind: the pseudo-inverse assembles ``Knm^T Knm`` and ``Kmm``
+again, with the same bits, forms the system in Kmm's storage and frees it
+before the kept eigenvectors are copied out, and with eigh's copy of the
+system it holds max(N m + m^2, 3 m^2).  A sweep of several lams keeps
+``Knm^T Knm``, ``Kmm`` and the whitened basis, and its whitening holds two
+m x m products at once: each lam's system is freed once factored and formed
+again, with the same bits, if the pseudo-inverse needs it, so a sweep holds
+max(N m + m^2, 5 m^2) doubles.  Each model adds its m coefficients.
+``fit_full`` factors its N x N system over itself, 1.5 N^2 doubles with
+numpy's copies, and solves with the factor; when the factorization fails it
+builds the system again, and its pseudo-inverse holds 3 N^2 with eigh's
+copy, freeing the system before the kept eigenvectors are copied out.  Each
+fit checks the doubles of its pseudo-inverse arm (3 m^2 or 5 m^2 beside
+N m + m^2, and 3 N^2) against the memory budget before it allocates
+anything, so the Cholesky arms are covered too.
 """
 
 from __future__ import annotations
@@ -185,17 +190,49 @@ def _lower_inverse(l: np.ndarray) -> np.ndarray:
     return l
 
 
-def _cholesky(a: np.ndarray) -> tuple[np.ndarray | None, float]:
-    """``(L, |a|_1)`` for ``a = L L^T``, with L in a new array and ``a`` left
-    as it was, or ``(None, inf)`` if the factorization fails.
+def _cholesky_in_place(a: np.ndarray) -> np.ndarray:
+    """Overwrite a symmetric positive definite matrix ``a`` with its lower
+    Cholesky factor L, with exact zeros above the diagonal, and return it.
+    Only the lower triangle of ``a`` is read.  Raises ``LinAlgError`` if
+    ``a`` is not numerically positive definite, and then leaves ``a``
+    partly overwritten.
 
-    The norm is taken before L exists, so at most two m x m arrays are
-    held, plus numpy's LAPACK copy of ``a`` during the factorization.  A
-    caller that passes a temporary ``a`` has it freed when this returns.
+    Up to ``TRI_INV_LEAF`` rows this is ``np.linalg.cholesky(a)``, bit for
+    bit.  Above that, one level of the blocked right-looking factorization
+    (Elmroth, Gustavson, Jonsson & Kagstrom, SIAM Review 2004): L11 from
+    A11, ``L21 = A21 L11^-T`` by back substitution with the reversed L11
+    (:func:`_upper_solve`), then L22 from the Schur complement
+    ``A22 - L21 L21^T``, formed in A22's storage.  numpy's copy of each
+    half-size block is all that is held besides ``a``, so a factorization
+    holds 1.5 m^2 doubles where ``np.linalg.cholesky`` holds 3 m^2.  The
+    halves are factored by numpy: a deeper recursion of Python-level
+    substitutions is slower than LAPACK at the sizes a fit reaches.
+    """
+    m = len(a)
+    if m <= TRI_INV_LEAF:
+        a[:] = np.linalg.cholesky(a)
+        return a
+    h = m // 2
+    a[:h, :h] = np.linalg.cholesky(a[:h, :h])
+    # L11 L21^T = A21^T is the upper-triangular system of L11 reversed
+    a[h:, :h] = _upper_solve(a[:h, :h][::-1, ::-1], a[h:, :h].T[::-1])[::-1].T
+    a[:h, h:] = 0.0
+    l21 = a[h:, :h]
+    a[h:, h:] -= l21 @ l21.T
+    a[h:, h:] = np.linalg.cholesky(a[h:, h:])
+    return a
+
+
+def _cholesky(a: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """``(L, |a|_1)`` for ``a = L L^T``, with L written over ``a``
+    (:func:`_cholesky_in_place`), or ``(None, inf)`` if the factorization
+    fails, which leaves ``a`` overwritten too.
+
+    The norm is taken before ``a`` is overwritten.
     """
     a_norm = np.linalg.norm(a, 1)
     try:
-        return np.linalg.cholesky(a), a_norm
+        return _cholesky_in_place(a), a_norm
     except np.linalg.LinAlgError:
         return None, np.inf
 
@@ -207,12 +244,20 @@ def _inverse_bound(l: np.ndarray | None, a_norm: float) -> tuple[np.ndarray | No
 
     ``kappa = |a|_1 |L^-1|_1 |L^-1|_inf`` bounds cond_2(a) from above, since
     ``|a^-1|_2 = |L^-1|_2^2 <= |L^-1|_1 |L^-1|_inf`` and ``|a|_2 <= |a|_1``
-    for symmetric a.
+    for symmetric a.  Both norms of ``L^-1`` are taken from the column and
+    row sums of its absolute values, one row block at a time, so that no
+    m x m temporary is allocated.
     """
     if l is None:
         return None, np.inf
     l_inv = _lower_inverse(l)
-    return l_inv, float(a_norm * np.linalg.norm(l_inv, 1) * np.linalg.norm(l_inv, np.inf))
+    m = len(l_inv)
+    col_sums, row_sums = np.zeros(m), np.empty(m)
+    for rows in _row_blocks(m, m):
+        block = np.abs(l_inv[rows])
+        col_sums += block.sum(axis=0)
+        row_sums[rows] = block.sum(axis=1)
+    return l_inv, float(a_norm * col_sums.max() * row_sums.max())
 
 
 def _whiten(gtg: np.ndarray, kmm: np.ndarray):
@@ -223,9 +268,10 @@ def _whiten(gtg: np.ndarray, kmm: np.ndarray):
     (D ascending, P, kappa), where kappa bounds cond_2(kmm)
     (:func:`_inverse_bound`), or None when the Cholesky factorization or
     the eigendecomposition fails or kappa alone exceeds the limit (then no
-    shift is admitted).
+    shift is admitted).  The factor is written over a copy of ``kmm``: the
+    sweep keeps ``kmm`` to form each rejected shift's system.
     """
-    l_inv, kappa = _inverse_bound(*_cholesky(kmm))
+    l_inv, kappa = _inverse_bound(*_cholesky(kmm.copy()))
     if not kappa <= WHITENED_COND_LIMIT:
         return None
     try:
@@ -242,11 +288,22 @@ def _admitted(d: np.ndarray, kappa: float, shift: float) -> bool:
     return bool(low > 0 and kappa * (abs(d[-1]) + shift) <= WHITENED_COND_LIMIT * low)
 
 
-def _system(gtg: np.ndarray, kmm: np.ndarray, shift: float) -> np.ndarray:
-    """``gtg + shift * kmm`` in one allocation, bit for bit."""
-    a = np.multiply(kmm, shift)
+def _system(gtg: np.ndarray, kmm: np.ndarray, shift: float, out=None) -> np.ndarray:
+    """``gtg + shift * kmm`` in one allocation, or written over ``out`` (which
+    may be ``kmm``), with the same bits either way."""
+    a = np.multiply(kmm, shift, out=out)
     a += gtg
     return a
+
+
+def _normal_matrices(kernel: KernelSpec, data: PointSet, centers: PointSet, ys):
+    """``(Knm^T Knm, [Knm^T y for y in ys], Kmm)``, with ``Knm`` freed
+    before ``Kmm`` is built."""
+    knm = cross_matrix(kernel, data, centers)
+    gtg = knm.T @ knm
+    rhs = [knm.T @ y for y in ys]
+    del knm
+    return gtg, rhs, gram(kernel, centers)
 
 
 def _check_values(values, n: int) -> np.ndarray:
@@ -277,7 +334,8 @@ def fit_sketched_multi(kernel: KernelSpec, data: PointSet, label_sets,
     Such a lam is solved bit for bit as a one-lam sweep solves it.  Returns
     one list of models per label set, in ``lams`` order.  Each
     ``wall_time`` is the whole assembly, the whole decomposition its lam
-    used (a rejected Cholesky attempt included) and its own solve.  The
+    used (a rejected Cholesky attempt included, and for a one-lam fit the
+    second assembly its pseudo-inverse needs) and its own solve.  The
     whole working set (module docstring) is checked against the memory
     budget before anything is allocated.
     """
@@ -296,12 +354,18 @@ def fit_sketched_multi(kernel: KernelSpec, data: PointSet, label_sets,
     _check_budget(8 * max(n * m + m * m, (5 if sweep else 3) * m * m),
                   f"sketched fit of {n} sites on {m} centers")
     t0 = time.perf_counter()
-    knm = cross_matrix(kernel, data, centers)
-    gtg = knm.T @ knm
-    rhs = [knm.T @ y for y in ys]
-    del knm     # freed before Kmm is built
-    kmm = gram(kernel, centers)
+    gtg, rhs, kmm = _normal_matrices(kernel, data, centers, ys)
     assembly = time.perf_counter() - t0
+
+    def system(shift):
+        # a sweep keeps gtg, Kmm and the basis and forms each lam's system
+        # anew; a one-lam fit forms its one system in Kmm's storage and
+        # drops gtg, so forming it a second time takes a second assembly
+        nonlocal gtg, kmm
+        if sweep:
+            return _system(gtg, kmm, shift)
+        a, gtg, kmm = _system(gtg, kmm, shift, out=kmm), None, None
+        return a
 
     t0 = time.perf_counter()
     whitened = _whiten(gtg, kmm) if sweep else None
@@ -318,24 +382,18 @@ def fit_sketched_multi(kernel: KernelSpec, data: PointSet, label_sets,
             decompose = whitening
         else:
             t0 = time.perf_counter()
-            if sweep:
-                # freed once factored, and formed again with the same bits for
-                # the pseudo-inverse: a sweep keeps gtg, Kmm and the basis
-                l_inv, bound = _inverse_bound(*_cholesky(_system(gtg, kmm, shift)))
-            else:
-                # the one system, formed in Kmm's storage bit for bit as
-                # _system forms it, and kept for the pseudo-inverse
-                kmm *= shift
-                kmm += gtg
-                system, gtg, kmm = kmm, None, None
-                l_inv, bound = _inverse_bound(*_cholesky(system))
+            # factored over itself: a rejected or failed factorization
+            # leaves no copy of the system behind
+            l_inv, bound = _inverse_bound(*_cholesky(system(shift)))
             v = l_inv.T if bound <= 1.0 / (CHOLESKY_MARGIN * m * np.finfo(float).eps) else None
             del l_inv   # a rejected inverse is freed here
             if v is not None:
                 method, w = "cholesky", np.ones(m)
             else:
-                w, v = np.linalg.eigh(_system(gtg, kmm, shift) if sweep else system)
-                system = None   # released before the kept eigenvectors are copied
+                if not sweep:   # the factorization wrote over the one system
+                    gtg, _, kmm = _normal_matrices(kernel, data, centers, [])
+                # the system is released before the kept eigenvectors are copied
+                w, v = np.linalg.eigh(system(shift))
                 method, (w, v) = "eig-pinv", _kept_eigenpairs(w, v)
             coords = [v.T @ b for b in rhs]
             decompose = time.perf_counter() - t0
@@ -359,14 +417,16 @@ def fit_full(kernel: KernelSpec, data: PointSet, values, lam: float) -> FittedMo
     """Fit with every data site as a center: (K + lam*N*I) alpha = y.
 
     Pure interpolation (lam = 0) is excluded; use a tiny lam like 1e-10 to
-    approach it.  A Cholesky factorization ``L L^T`` certifies that the
-    shifted matrix is numerically positive definite, and two substitutions
-    with that factor, ``alpha = L^-T (L^-1 y)`` (:func:`_upper_solve`), give
-    the coefficients (method ``"cholesky"``, rank N): the system is factored
-    once.  If the factorization fails, the shifted matrix is numerically
-    indefinite: fall back to the pseudo-inverse and record that in the
-    diagnostics.  The working set of the fallback (module docstring) is
-    checked against the memory budget before anything is allocated.
+    approach it.  A Cholesky factorization ``L L^T``, written over the
+    shifted matrix (:func:`_cholesky_in_place`), certifies that it is
+    numerically positive definite, and two substitutions with that factor,
+    ``alpha = L^-T (L^-1 y)`` (:func:`_upper_solve`), give the coefficients
+    (method ``"cholesky"``, rank N): the system is factored once.  If the
+    factorization fails, the shifted matrix is numerically indefinite: it is
+    built again, with the same bits, and solved by the pseudo-inverse, which
+    the diagnostics record.  The working set of the fallback (module
+    docstring) is checked against the memory budget before anything is
+    allocated.
     """
     y = _check_values(values, len(data))
     lam = float(lam)
@@ -374,22 +434,26 @@ def fit_full(kernel: KernelSpec, data: PointSet, values, lam: float) -> FittedMo
         raise ValueError("fit_full needs lam > 0")
     n = len(data)
     _check_budget(8 * 3 * n * n, f"full fit of {n} sites")
+
+    def shifted():
+        # In place: adding +0.0 off the diagonal would change no entry (none is -0.0).
+        a = gram(kernel, data)
+        a[np.diag_indices(n)] += lam * n
+        return a
+
     t0 = time.perf_counter()
-    # In place: adding +0.0 off the diagonal would change no entry (none is -0.0).
-    shifted = gram(kernel, data)
-    shifted[np.diag_indices(n)] += lam * n
     try:
-        l = np.linalg.cholesky(shifted)
+        l = _cholesky_in_place(shifted())
     except np.linalg.LinAlgError:
         l = None    # solved outside the handler, whose traceback holds the system
     if l is None:
-        w, v = np.linalg.eigh(shifted)
-        del shifted     # released before the kept eigenvectors are copied
-        w, v = _kept_eigenpairs(w, v)
+        # the failed factorization wrote over the system: build it again,
+        # with the same bits, and release it before the kept eigenvectors
+        # are copied
+        w, v = _kept_eigenpairs(*np.linalg.eigh(shifted()))
         coef = v @ ((v.T @ y) / w)
         method, rank = "eig-pinv", len(w)
     else:
-        del shifted     # the substitutions need only the factor
         # L z = y is the upper-triangular system of L reversed
         z = _upper_solve(l[::-1, ::-1], y[::-1])[::-1]
         coef = _upper_solve(l.T, z)

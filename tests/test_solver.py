@@ -681,16 +681,36 @@ def lu_lower_inverse(l):
     return x
 
 
-def cholesky_factor(m, matrix):
-    """The Cholesky factor of a random SPD matrix with eigenvalues >= 1, or
-    of a Gaussian Gram of spiral points, whose factor has cond_2 up to 7e3."""
+def spd_matrix(m, matrix):
+    """A random SPD matrix with eigenvalues >= 1, or a Gaussian Gram of
+    spiral points, whose Cholesky factor has cond_2 up to 7e3."""
     if matrix == "random":
         g = np.random.default_rng(m).standard_normal((m, m))
-        a = g @ g.T / m + np.eye(m)
-    else:
-        sites = generate_spiral(max(m, 2)).take(np.arange(m))
-        a = gram(KernelSpec.gaussian(0.3), sites) + 1e-6 * np.eye(m)
-    return np.linalg.cholesky(a)
+        return g @ g.T / m + np.eye(m)
+    sites = generate_spiral(max(m, 2)).take(np.arange(m))
+    return gram(KernelSpec.gaussian(0.3), sites) + 1e-6 * np.eye(m)
+
+
+def cholesky_factor(m, matrix):
+    return np.linalg.cholesky(spd_matrix(m, matrix))
+
+
+def spy_factorizations(monkeypatch):
+    """Record, for each ``_cholesky_in_place`` call, whether it factored or
+    raised and whether it wrote over its argument."""
+    calls, original = [], solver_mod._cholesky_in_place
+
+    def spy(a):
+        before, outcome = a.copy(), "raised"
+        try:
+            l = original(a)
+            outcome = "factored"
+            return l
+        finally:
+            calls.append((outcome, not np.array_equal(a, before)))
+
+    monkeypatch.setattr(solver_mod, "_cholesky_in_place", spy)
+    return calls
 
 
 def cholesky_kappa(a):
@@ -699,6 +719,39 @@ def cholesky_kappa(a):
 
 
 class TestCholeskyArm:
+    @pytest.mark.parametrize("m", [1, 2, solver_mod.TRI_INV_LEAF, solver_mod.TRI_INV_LEAF + 1,
+                                   2 * solver_mod.TRI_INV_LEAF + 1, 864])
+    @pytest.mark.parametrize("matrix", ["random", "gaussian-gram"])
+    def test_cholesky_in_place_backward_error(self, m, matrix):
+        # numpy's factor up to one leaf, bit for bit; above it, one blocked
+        # step.  Either way |A - L L^T| <= (m + 1) eps |L| |L^T|: the
+        # factorization's gamma_(m+1) and this check's own product's
+        # gamma_m, each in units of eps / 2
+        a = spd_matrix(m, matrix)
+        given = a.copy()
+        l = solver_mod._cholesky_in_place(given)
+        assert l is given
+        assert np.all(np.triu(l, 1) == 0.0)
+        if m <= solver_mod.TRI_INV_LEAF:
+            assert l.tobytes() == np.linalg.cholesky(a).tobytes()
+        abs_l = np.abs(l)
+        assert np.all(np.abs(a - l @ l.T) <= (m + 1) * np.finfo(float).eps * (abs_l @ abs_l.T))
+
+    @pytest.mark.parametrize("where", ["leading-block", "schur-complement"])
+    def test_cholesky_in_place_rejects_indefinite(self, where):
+        # A = L L^T past two leaves, with one diagonal entry lowered so that
+        # its pivot is negative: in A11, or in A22 - L21 L21^T only, where
+        # A11 and A22 alone are still positive definite
+        m = 2 * solver_mod.TRI_INV_LEAF + 1
+        l = cholesky_factor(m, "random")
+        a = l @ l.T
+        i = 0 if where == "leading-block" else m - 1
+        a[i, i] -= 1.05 * l[i, i] ** 2
+        if where == "schur-complement":
+            assert np.all(np.linalg.eigvalsh(a[m // 2:, m // 2:]) > 0)
+        with pytest.raises(np.linalg.LinAlgError):
+            solver_mod._cholesky_in_place(a)
+
     @pytest.mark.parametrize("m", [1, 2, 255, 256, 257, 513, 1031])
     @pytest.mark.parametrize("matrix", ["random", "gaussian-gram"])
     def test_lower_inverse_right_residual(self, m, matrix):
@@ -792,22 +845,70 @@ class TestCholeskyArm:
             assert model.diagnostics.rank_used == expect[1] < len(centers)
             assert_matches_oracle(model, *expect)
 
+    @pytest.mark.parametrize("case, outcome", [("duplicate-centers", "raised"),
+                                               ("kappa-over-limit", "factored")])
+    def test_one_lambda_pseudo_inverse_after_system_overwritten(self, case, outcome,
+                                                                monkeypatch):
+        # m = 348 or 328 centers past one leaf, on the t = 33 design: the one
+        # system is factored over itself and fails in its Schur complement
+        # (the t = 25 design with 20 centers repeated), or is factored and
+        # inverted and then rejected.  Either way it is gone, and the
+        # pseudo-inverse of the system assembled again is the oracle's, bit
+        # for bit
+        data, design = load_design(33), load_design(25)
+        if case == "duplicate-centers":
+            kernel, lam = KernelSpec.wendland(), 1e-8
+            centers = PointSet(np.vstack([design.xyz, design.xyz[:20]]))
+        else:
+            kernel, lam, centers = KernelSpec.gaussian(0.5), 1e-2, design
+        calls = spy_factorizations(monkeypatch)
+        y = smooth_values(data)
+        model = fit_sketched(kernel, data, y, centers, lam)
+        assert calls == [(outcome, True)]
+        assert model.diagnostics.method == "eig-pinv"
+        assert_matches_oracle(model, *per_lambda_eigh_fit(kernel, data, y, centers, [lam])[0])
+
+    @pytest.mark.parametrize("kernel", [KernelSpec.wendland(), KernelSpec.gaussian(0.5)],
+                             ids=["wendland", "gaussian"])
+    def test_full_pseudo_inverse_after_system_overwritten(self, kernel, monkeypatch):
+        # the t = 25 design with 5 sites repeated (N = 333) at lam 1e-300:
+        # the factorization writes L11 over the system and fails in the
+        # Schur complement, and the pseudo-inverse of the system built again
+        # is the one of K + lam*N*I, bit for bit
+        design = load_design(25)
+        sites = PointSet(np.vstack([design.xyz, design.xyz[:5]]))
+        n, lam, y = len(sites), 1e-300, smooth_values(sites)
+        calls = spy_factorizations(monkeypatch)
+        model = fit_full(kernel, sites, y, lam)
+        assert calls == [("raised", True)]
+        assert model.diagnostics.method == "eig-pinv"
+        shifted = gram(kernel, sites)
+        shifted[np.diag_indices(n)] += lam * n
+        w, v = np.linalg.eigh(shifted)
+        keep = w > n * np.finfo(float).eps * max(float(w[-1]), 0.0)
+        coef = v[:, keep] @ ((v[:, keep].T @ y) / w[keep])
+        assert model.diagnostics.rank_used == keep.sum() < n
+        assert np.array_equal(model.coefficients, coef)
+
     def test_indefinite_matrix_is_not_factored(self):
         a = np.array([[1.0, 2.0], [2.0, 1.0]])
         assert solver_mod._cholesky(a) == (None, np.inf)
         assert solver_mod._inverse_bound(None, np.inf) == (None, np.inf)
 
 
-# One fit at m = N = 1656 after a small warm-up fit has started the BLAS
+# One fit at m = N = 1656 after small warm-up fits have started the BLAS
 # threads and loaded numpy.linalg; prints the growth of the process's peak
-# resident size in units of m x m doubles.  The peak is VmHWM, not
-# ru_maxrss: Linux carries a parent's resident size at fork into the
-# child's ru_maxrss, and the test process is far larger than this fit.
+# resident size in units of m x m doubles.  The fit is a one-lam sketched
+# fit with every site as a center, or fit_full with the argument "full".
+# The peak is VmHWM, not ru_maxrss: Linux carries a parent's resident size
+# at fork into the child's ru_maxrss, and the test process is far larger
+# than this fit.
 RSS_GROWTH_SCRIPT = """
+import sys
 import numpy as np
 from sphfit.designs import load_design
 from sphfit.kernels import KernelSpec
-from sphfit.solver import fit_sketched
+from sphfit.solver import fit_full, fit_sketched
 
 def peak_kib():
     with open("/proc/self/status") as status:
@@ -816,34 +917,40 @@ def peak_kib():
 kernel = KernelSpec.wendland()
 warm = load_design(13)
 fit_sketched(kernel, warm, np.ones(len(warm)), warm, 2e-4)
+fit_full(kernel, warm, np.ones(len(warm)), 2e-4)
 sites = load_design(57)
 y = np.cos(3.0 * sites.xyz[:, 2])
 before = peak_kib()
-fit_sketched(kernel, sites, y, sites, 2e-4)
+if sys.argv[1:] == ["full"]:
+    fit_full(kernel, sites, y, 2e-4)
+else:
+    fit_sketched(kernel, sites, y, sites, 2e-4)
 print((peak_kib() - before) * 1024 / (8 * len(sites) ** 2))
 """
 
 
 class TestWorkingSet:
     """What a fit holds at most, as the solver module docstring states it:
-    max(N m + m^2, 3 m^2) doubles for one lam and max(N m + m^2, 5 m^2)
-    for a whitened sweep, plus one block (slack of 2 MiB here)."""
+    max(N m + m^2, 2 m^2) doubles for one lam and max(N m + m^2, 5 m^2)
+    for a whitened sweep, and 1.5 N^2 for ``fit_full``, plus one block
+    (slack of 2 MiB here).  tracemalloc does not see numpy's LAPACK
+    copies."""
 
     @pytest.mark.parametrize("data_degree, center_degree, lam, method", [
         (41, 41, 2e-4, "cholesky"), (41, 41, 1e-14, "eig-pinv"),
         (57, 25, 2e-4, "cholesky")])
     def test_one_lambda_fit(self, data_degree, center_degree, lam, method):
-        # m = N = 864 on both arms (6.5 m^2 on the Cholesky arm before the
-        # working set was bounded, 4 m^2 before the system took Kmm's
+        # m = N = 864 on both arms (3 m^2 while the factor had its own
         # storage), and N = 1656 > m = 328, where Knm and Knm^T Knm set the
-        # peak
+        # peak.  The pseudo-inverse arm assembles its system a second time
+        # and holds no more than the first assembly did
         data, centers = load_design(data_degree), load_design(center_degree)
         n, m = len(data), len(centers)
         models = []
         peak = traced_peak(lambda: models.append(
             fit_sketched(KernelSpec.wendland(), data, smooth_values(data), centers, lam)))
         assert models[0].diagnostics.method == method
-        assert peak <= 8 * max(n * m + m * m, 3 * m * m) + 2**21
+        assert peak <= 8 * max(n * m + m * m, 2 * m * m) + 2**21
 
     def test_sweep_through_every_arm(self):
         # m = N = 864: 9.9 m^2 before the working set was bounded
@@ -855,6 +962,17 @@ class TestWorkingSet:
         assert [model.diagnostics.method for model in models] == [
             "whitened-eig", "cholesky", "eig-pinv"]
         assert peak <= 8 * 5 * m * m + 2**21
+
+    def test_fit_full_cholesky_arm(self):
+        # N = 864: the system and numpy's factors of its two half-size
+        # blocks (2 N^2 while the factor had its own storage)
+        sites = load_design(41)
+        n = len(sites)
+        models = []
+        peak = traced_peak(lambda: models.append(
+            fit_full(KernelSpec.wendland(), sites, smooth_values(sites), 2e-4)))
+        assert models[0].diagnostics.method == "cholesky"
+        assert peak <= 8 * 1.5 * n * n + 2**21
 
     def test_fit_full_pseudo_inverse_fallback(self, monkeypatch):
         # N = 864 with the certificate failing: the system is freed before
@@ -871,20 +989,31 @@ class TestWorkingSet:
         assert models[0].diagnostics.method == "eig-pinv"
         assert peak <= 8 * 2 * n * n + 2**21
 
-    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
-    def test_one_lambda_fit_resident_growth(self):
-        # the resident peak also counts numpy's LAPACK copy of the system,
-        # which tracemalloc does not see: the system, that copy and the
-        # factor while it is factored, then the system, the factor and one
-        # m x m temporary while it is inverted, 3 m^2 with room for allocator
-        # and BLAS buffer growth (7.3 m^2 before the working set was
-        # bounded, 5.3 m^2 before the system took Kmm's storage)
+    @staticmethod
+    def resident_growth(fit: str) -> float:
         src = str(Path(sphfit.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", RSS_GROWTH_SCRIPT], env=env,
-                             check=True, capture_output=True, text=True).stdout
-        assert float(out) <= 4.0
+        return float(subprocess.run([sys.executable, "-c", RSS_GROWTH_SCRIPT, fit], env=env,
+                                    check=True, capture_output=True, text=True).stdout)
+
+    # The resident peak also counts numpy's LAPACK copies of the half-size
+    # blocks being factored, which tracemalloc does not see; each bound
+    # leaves room for allocator and BLAS buffer growth.  Both fits grew by
+    # 3.3 m^2 while each factor had its own storage beside numpy's copy of
+    # the whole system.
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_one_lambda_fit_resident_growth(self):
+        # 2 m^2 for the assembly, which the factorization does not exceed
+        # (2.35 m^2 seen; 7.3 m^2 before the working set was bounded)
+        assert self.resident_growth("sketched") <= 3.0
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_fit_full_resident_growth(self):
+        # the system and two half-size blocks with numpy's copies of them,
+        # 1.75 N^2 (1.84 N^2 seen)
+        assert self.resident_growth("full") <= 2.5
 
     def test_more_centers_than_sites_refused_before_allocating(self, monkeypatch):
         # N = 12 sites, m = 156 centers: Knm (15 KB) is within a 64 KiB
@@ -902,9 +1031,9 @@ class TestWorkingSet:
 
     def test_working_set_over_budget_refused_before_allocating(self, monkeypatch):
         # N = m = 864 under a budget of one N x N matrix: each matrix of the
-        # fit is within it, the whole working set is not (a one-lam sketched
-        # fit holds 3 m^2 doubles, fit_full 2 N^2 plus numpy's LAPACK copy
-        # of the system while it is factored)
+        # fit is within it, the whole working set is not (the pseudo-inverse
+        # of a one-lam sketched fit holds 3 m^2 doubles and that of fit_full
+        # 3 N^2, each counting the copy eigh makes of its system)
         data = load_design(41)
         n = len(data)
         budget = 8 * n * n
@@ -975,15 +1104,16 @@ class TestValidationAndDiagnostics:
         # former K + lam*N*I bit for bit.  That system is factored once, and
         # the coefficients come from two substitutions with its factor: every
         # np.linalg.solve is of an upper-triangular block of at most
-        # TRI_INV_LEAF rows (N = 94 is one leaf, N = 328 two), never of the
-        # system, so no LU of it is formed
+        # TRI_INV_LEAF rows, never of the system, so no LU of it is formed.
+        # N = 94 is one leaf per substitution; N = 328 is two, and its
+        # blocked factorization solves for L21 with one leaf of 164 rows
         factored, solved = [], []
-        cholesky, solve = np.linalg.cholesky, np.linalg.solve
-        monkeypatch.setattr(np.linalg, "cholesky",
-                            lambda a: factored.append(a.copy()) or cholesky(a))
+        cholesky_in_place, solve = solver_mod._cholesky_in_place, np.linalg.solve
+        monkeypatch.setattr(solver_mod, "_cholesky_in_place",
+                            lambda a: factored.append(a.copy()) or cholesky_in_place(a))
         monkeypatch.setattr(np.linalg, "solve",
                             lambda a, b: solved.append(np.array(a)) or solve(a, b))
-        for sites, leaves in ((design13, 1), (load_design(25), 2)):
+        for sites, solves in ((design13, 2), (load_design(25), 5)):
             factored.clear()
             solved.clear()
             lam, n, y = 1e-3, len(sites), smooth_values(sites)
@@ -991,7 +1121,7 @@ class TestValidationAndDiagnostics:
             old = gram(kernel, sites) + (lam * n) * np.eye(n)
             assert len(factored) == 1 and np.array_equal(factored[0], old)
             assert model.diagnostics.method == "cholesky"
-            assert len(solved) == 2 * leaves
+            assert len(solved) == solves
             for a in solved:
                 assert len(a) <= solver_mod.TRI_INV_LEAF and np.all(np.tril(a, -1) == 0.0)
             # both solves are backward stable, so they differ by at most about
