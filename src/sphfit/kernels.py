@@ -94,30 +94,35 @@ class KernelSpec:
         raise ValueError(f"cannot parse kernel spec {text!r}")
 
 
-def zonal_value(spec: KernelSpec, dot) -> np.ndarray:
+def zonal_value(spec: KernelSpec, dot, out=None) -> np.ndarray:
     """Kernel value as a function of the dot product, clamped to [-1, 1].
 
-    Makes one output array of the shape of ``dot`` and never writes into
-    ``dot``.  The Gaussian value is ``exp(-(1 - d) / sigma^2)`` with ``d``
-    the clamped dot.  The Wendland value is zero wherever ``dot <= 1/2``
-    (chordal distance >= 1, outside the support), and the profile is
-    evaluated only on the other entries.  A NaN dot gives NaN for both
-    kernels.  A scalar or 0-d ``dot`` gives a numpy scalar.
+    Writes into ``out`` and returns it when it is given, a float64 array
+    of the shape of ``dot`` that may be ``dot`` itself; otherwise makes
+    one output array and never writes into ``dot``.  The Gaussian value is
+    ``exp(-(1 - d) / sigma^2)`` with ``d`` the clamped dot.  The Wendland
+    value is zero wherever ``dot <= 1/2`` (chordal distance >= 1, outside
+    the support), and the profile is evaluated only on the other entries.
+    A NaN dot gives NaN for both kernels.  A scalar or 0-d ``dot`` gives a
+    numpy scalar.  Each value is the same bits with or without ``out``.
     """
     dot = np.asarray(dot, dtype=float)
     if spec.kind == "gaussian":
-        out = np.clip(dot, -1.0, 1.0, out=np.empty(dot.shape))
+        out = np.clip(dot, -1.0, 1.0, out=np.empty(dot.shape) if out is None else out)
         np.subtract(out, 1.0, out=out)      # d - 1 == -(1 - d), exactly
         np.divide(out, spec.sigma**2, out=out)   # ||a-b||^2 = 2 - 2 a.b
         np.exp(out, out=out)
     else:
         mask = ~(dot <= 0.5)                # the support, and NaN stays NaN
-        u = dot[mask]                       # a copy: dot is left alone
+        u = dot[mask]                       # a copy, taken before out is zeroed
         np.minimum(u, 1.0, out=u)
         u *= -2.0
         u += 2.0
         np.sqrt(u, out=u)                   # chordal distance, in [0, 1)
-        out = np.zeros(dot.shape)
+        if out is None:
+            out = np.zeros(dot.shape)
+        else:
+            out.fill(0.0)
         out[mask] = _wendland_profile(u)
     return out if out.ndim else out[()]
 

@@ -194,17 +194,21 @@ def generate_spiral(n: int) -> PointSet:
 
     Heights are uniform in [-1, 1]; azimuths advance by 3.6/sqrt(n(1-h^2))
     per step, with both endpoints pinned to azimuth 0 at the poles.
-    Deterministic: equal `n` gives bitwise-equal coordinates.
+    Deterministic: equal `n` gives bitwise-equal coordinates.  The steps
+    are computed with numpy; only the running sum modulo 2 pi, a
+    recurrence, is a loop, over Python floats.
     """
     if n < 2:
         raise ValueError("spiral needs n >= 2")
     h = -1.0 + 2.0 * np.arange(n) / (n - 1)
     theta = np.arccos(np.clip(h, -1.0, 1.0))
+    steps = 3.6 / np.sqrt(n * (1.0 - h[1:-1] * h[1:-1]))
+    turn, acc, azimuths = 2.0 * math.pi, 0.0, []
+    for step in steps.tolist():
+        acc = (acc + step) % turn
+        azimuths.append(acc)
     phi = np.zeros(n)
-    acc = 0.0
-    for i in range(1, n - 1):
-        acc = (acc + 3.6 / math.sqrt(n * (1.0 - h[i] * h[i]))) % (2.0 * math.pi)
-        phi[i] = acc
+    phi[1:-1] = azimuths
     sin_t = np.sin(theta)
     xyz = np.column_stack([sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)])
     xyz[0] = (0.0, 0.0, -1.0)
@@ -304,10 +308,15 @@ def eq_area_centers(n: int) -> PointSet:
 # ---------------------------------------------------------------------------
 # Geometric diagnostics
 
+def _block_rows(n_cols: int) -> int:
+    """Rows of an n_cols-wide float64 matrix that fit in ``BLOCK_BYTES`` (at least one)."""
+    return max(1, BLOCK_BYTES // (8 * n_cols))
+
+
 def _row_blocks(n_rows: int, n_cols: int):
     """Consecutive row slices of an (n_rows, n_cols) float64 matrix, each
     within ``BLOCK_BYTES`` (and at least one row)."""
-    step = max(1, BLOCK_BYTES // (8 * n_cols))
+    step = _block_rows(n_cols)
     return (slice(lo, lo + step) for lo in range(0, n_rows, step))
 
 

@@ -28,30 +28,36 @@ substitutions and the triangular inverse recurse by halves down to leaf
 blocks.  numpy.linalg is the only linear-algebra library, so one BLAS
 serves every fit.
 
-Working set.  ``Knm`` (N x m) is freed as soon as ``Knm^T Knm`` and every
-``Knm^T y`` exist, and only then is ``Kmm`` built.  Every Cholesky
-factorization is written over its system and the factor is inverted in
-place; while it runs, numpy holds its copy of one half-size block and that
-block's factor, m^2 / 2 doubles (:func:`_cholesky_in_place`).  A one-lam
-fit forms its system in Kmm's storage and frees ``Knm^T Knm``, so its
-Cholesky arm holds at most max(N m + m^2, 2 m^2) doubles (the system and
-the m x m temporary of its 1-norm), plus one kernel block
-(``BLOCK_BYTES``).  A factorization that fails or is rejected leaves no
-system behind: the pseudo-inverse assembles ``Knm^T Knm`` and ``Kmm``
-again, with the same bits, forms the system in Kmm's storage and frees it
-before the kept eigenvectors are copied out, and with eigh's copy of the
-system it holds max(N m + m^2, 3 m^2).  A sweep of several lams keeps
-``Knm^T Knm``, ``Kmm`` and the whitened basis, and its whitening holds two
-m x m products at once: each lam's system is freed once factored and formed
-again, with the same bits, if the pseudo-inverse needs it, so a sweep holds
-max(N m + m^2, 5 m^2) doubles.  Each model adds its m coefficients.
-``fit_full`` factors its N x N system over itself, 1.5 N^2 doubles with
-numpy's copies, and solves with the factor; when the factorization fails it
-builds the system again, and its pseudo-inverse holds 3 N^2 with eigh's
-copy, freeing the system before the kept eigenvectors are copied out.  Each
-fit checks the doubles of its pseudo-inverse arm (3 m^2 or 5 m^2 beside
-N m + m^2, and 3 N^2) against the memory budget before it allocates
-anything, so the Cholesky arms are covered too.
+Working set.  ``Knm`` (N x m) is never whole: ``Knm^T Knm`` and every
+``Knm^T y`` are streamed from row blocks of it (:func:`_normal_matrices`)
+in one workspace of W doubles (:func:`_assembly_blocks`): about m^2 / 4
+when N is near m, and however large N is at most 9 m^2 / 8 doubles or three
+``BLOCK_BYTES``, whichever is more.  The kernel temporaries of one row
+block of B doubles add about B more.  A sweep then builds
+``Kmm``; a one-lam fit adds lam*N*Kmm into the storage of ``Knm^T Knm``
+one row block (``BLOCK_BYTES``) at a time, so it never holds ``Kmm``
+(:func:`_add_kmm`).
+Every Cholesky factorization is written over its system and the factor is
+inverted in place; while it runs, numpy holds its copy of one half-size
+block and that block's factor, m^2 / 2 doubles (:func:`_cholesky_in_place`),
+and each triangular substitution writes over its right-hand side
+(:func:`_upper_solve_in_place`).  So a one-lam fit's Cholesky arm holds
+about max(m^2 + W + B, 1.5 m^2) doubles, plus one kernel block.  A
+factorization that fails or is rejected leaves no system behind: the
+pseudo-inverse streams ``Knm^T Knm`` again and adds ``Kmm`` again, with
+the same bits, and frees the system before the kept eigenvectors are
+copied out; with eigh's copy of the system it holds 3 m^2.  A sweep of
+several lams keeps ``Knm^T Knm``, ``Kmm`` and the whitened basis, and its
+whitening holds two m x m products at once: each lam's system is freed
+once factored and formed again, with the same bits, if the pseudo-inverse
+needs it, so a sweep holds 5 m^2 doubles.  Each model adds its m
+coefficients.  ``fit_full`` factors its N x N system over itself, 1.5 N^2
+doubles with numpy's copies, and solves with the factor; when the
+factorization fails it builds the system again, and its pseudo-inverse
+holds 3 N^2 with eigh's copy, freeing the system before the kept
+eigenvectors are copied out.  Each fit checks the doubles of its
+pseudo-inverse arm (3 m^2 or 5 m^2 plus W, and 3 N^2) against the memory
+budget before it allocates anything, so the Cholesky arms are covered too.
 """
 
 from __future__ import annotations
@@ -61,8 +67,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, _check_budget, cross_matrix, gram, zonal_value
-from .points import (PointFileError, PointSet, _data_lines, _number, _read_rows,
+# cross_matrix is no longer called here, but the binding stays: the
+# benchmark's trace (perfbench/) wraps it in every module that holds it
+from .kernels import KernelSpec, _check_budget, cross_matrix, gram, zonal_value  # noqa: F401
+from .points import (PointFileError, PointSet, _block_rows, _data_lines, _number, _read_rows,
                      _row_blocks, _unit_points, _write_rows)
 
 # Largest bound on cond_2(Knm^T Knm + lam*N*Kmm) for which a sweep solves lam
@@ -140,7 +148,15 @@ def _kept_eigenpairs(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def _upper_solve(u: np.ndarray, b: np.ndarray) -> np.ndarray:
     """X with ``U X = B`` for a nonsingular upper-triangular U, which has exact
-    zeros below the diagonal, and a vector or matrix B, in a new array.
+    zeros below the diagonal, and a vector or matrix B, in a new array
+    (:func:`_upper_solve_in_place` on a copy of B)."""
+    return _upper_solve_in_place(u, b.copy())
+
+
+def _upper_solve_in_place(u: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Overwrite B, a vector or matrix (any view), with X for ``U X = B``
+    and return it; U is nonsingular upper triangular with exact zeros below
+    the diagonal.
 
     Back substitution by halves, as a recursive blocked TRSM (Elmroth,
     Gustavson, Jonsson & Kagstrom, SIAM Review 2004): X2 from U22, then X1
@@ -149,16 +165,18 @@ def _upper_solve(u: np.ndarray, b: np.ndarray) -> np.ndarray:
     exchange, so numpy's LU of it is exact and the solve is a
     backward-stable back substitution.  To solve with a lower-triangular L,
     pass its reversal ``L[::-1, ::-1]``, which is upper triangular, and
-    ``B[::-1]``, and reverse the rows of X.
+    ``B[::-1]``, and reverse the rows of X.  Besides B it holds one
+    product ``U12 X2`` and one leaf's solution at a time.
     """
     m = len(u)
     if m <= TRI_INV_LEAF:
-        return np.linalg.solve(u, b)
+        b[...] = np.linalg.solve(u, b)
+        return b
     h = m // 2
-    x = np.empty(b.shape)
-    x[h:] = _upper_solve(u[h:, h:], b[h:])
-    x[:h] = _upper_solve(u[:h, :h], b[:h] - u[:h, h:] @ x[h:])
-    return x
+    _upper_solve_in_place(u[h:, h:], b[h:])
+    b[:h] -= u[:h, h:] @ b[h:]
+    _upper_solve_in_place(u[:h, :h], b[:h])
+    return b
 
 
 def _lower_inverse(l: np.ndarray) -> np.ndarray:
@@ -171,13 +189,14 @@ def _lower_inverse(l: np.ndarray) -> np.ndarray:
     Higham, IMA J. Numer. Anal. 1992): X22 first, then the off-diagonal
     block, which solves ``X21 L11 = -(X22 L21)`` while L11 is still in
     place, by back substitution with the upper-triangular ``L11^T``
-    (:func:`_upper_solve`), then X11.  Diagonal blocks of at most
-    ``TRI_INV_LEAF`` rows are inverted as ``inv(L^T)^T``, an exact LU of an
-    upper-triangular block, so no triangular matrix larger than that is
-    LU-factored.  numpy has no triangular solve of its own:
-    ``np.linalg.inv(L)`` exchanges rows of a lower-triangular L and
-    ``X21 = -X22 (L21 X11)`` multiplies by the computed X11, and on an
-    ill-conditioned factor either one is orders of magnitude less accurate.
+    written over the product ``X22 L21`` (:func:`_upper_solve_in_place`),
+    then X11.  Diagonal blocks of at most ``TRI_INV_LEAF`` rows are
+    inverted as ``inv(L^T)^T``, an exact LU of an upper-triangular block,
+    so no triangular matrix larger than that is LU-factored.  numpy has no
+    triangular solve of its own: ``np.linalg.inv(L)`` exchanges rows of a
+    lower-triangular L and ``X21 = -X22 (L21 X11)`` multiplies by the
+    computed X11, and on an ill-conditioned factor either one is orders of
+    magnitude less accurate.
     """
     m = len(l)
     if m <= TRI_INV_LEAF:
@@ -185,7 +204,9 @@ def _lower_inverse(l: np.ndarray) -> np.ndarray:
         return l
     h = m // 2
     _lower_inverse(l[h:, h:])
-    l[h:, :h] = _upper_solve(l[:h, :h].T, -(l[h:, h:] @ l[h:, :h]).T).T
+    x21 = l[h:, h:] @ l[h:, :h]
+    np.negative(x21, out=x21)
+    l[h:, :h] = _upper_solve_in_place(l[:h, :h].T, x21.T).T
     _lower_inverse(l[:h, :h])
     return l
 
@@ -200,13 +221,14 @@ def _cholesky_in_place(a: np.ndarray) -> np.ndarray:
     Up to ``TRI_INV_LEAF`` rows this is ``np.linalg.cholesky(a)``, bit for
     bit.  Above that, one level of the blocked right-looking factorization
     (Elmroth, Gustavson, Jonsson & Kagstrom, SIAM Review 2004): L11 from
-    A11, ``L21 = A21 L11^-T`` by back substitution with the reversed L11
-    (:func:`_upper_solve`), then L22 from the Schur complement
-    ``A22 - L21 L21^T``, formed in A22's storage.  numpy's copy of each
-    half-size block is all that is held besides ``a``, so a factorization
-    holds 1.5 m^2 doubles where ``np.linalg.cholesky`` holds 3 m^2.  The
-    halves are factored by numpy: a deeper recursion of Python-level
-    substitutions is slower than LAPACK at the sizes a fit reaches.
+    A11, ``L21 = A21 L11^-T`` by back substitution with the reversed L11,
+    written over A21 (:func:`_upper_solve_in_place`), then L22 from the
+    Schur complement ``A22 - L21 L21^T``, formed in A22's storage.  numpy's
+    copy of each half-size block is all that is held besides ``a``, so a
+    factorization holds 1.5 m^2 doubles where ``np.linalg.cholesky`` holds
+    3 m^2.  The halves are factored by numpy: a deeper recursion of
+    Python-level substitutions is slower than LAPACK at the sizes a fit
+    reaches.
     """
     m = len(a)
     if m <= TRI_INV_LEAF:
@@ -215,7 +237,7 @@ def _cholesky_in_place(a: np.ndarray) -> np.ndarray:
     h = m // 2
     a[:h, :h] = np.linalg.cholesky(a[:h, :h])
     # L11 L21^T = A21^T is the upper-triangular system of L11 reversed
-    a[h:, :h] = _upper_solve(a[:h, :h][::-1, ::-1], a[h:, :h].T[::-1])[::-1].T
+    _upper_solve_in_place(a[:h, :h][::-1, ::-1], a[h:, :h].T[::-1])
     a[:h, h:] = 0.0
     l21 = a[h:, :h]
     a[h:, h:] -= l21 @ l21.T
@@ -228,13 +250,26 @@ def _cholesky(a: np.ndarray) -> tuple[np.ndarray | None, float]:
     (:func:`_cholesky_in_place`), or ``(None, inf)`` if the factorization
     fails, which leaves ``a`` overwritten too.
 
-    The norm is taken before ``a`` is overwritten.
+    The norm is taken before ``a`` is overwritten, from column sums of
+    ``|a|`` (:func:`_abs_sums`).
     """
-    a_norm = np.linalg.norm(a, 1)
+    a_norm = float(_abs_sums(a)[0].max())
     try:
         return _cholesky_in_place(a), a_norm
     except np.linalg.LinAlgError:
         return None, np.inf
+
+
+def _abs_sums(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The column and the row sums of ``|a|``, one row block at a time, so
+    that no m x m temporary is allocated."""
+    m = len(a)
+    col_sums, row_sums = np.zeros(m), np.empty(m)
+    for rows in _row_blocks(m, m):
+        block = np.abs(a[rows])
+        col_sums += block.sum(axis=0)
+        row_sums[rows] = block.sum(axis=1)
+    return col_sums, row_sums
 
 
 def _inverse_bound(l: np.ndarray | None, a_norm: float) -> tuple[np.ndarray | None, float]:
@@ -245,18 +280,12 @@ def _inverse_bound(l: np.ndarray | None, a_norm: float) -> tuple[np.ndarray | No
     ``kappa = |a|_1 |L^-1|_1 |L^-1|_inf`` bounds cond_2(a) from above, since
     ``|a^-1|_2 = |L^-1|_2^2 <= |L^-1|_1 |L^-1|_inf`` and ``|a|_2 <= |a|_1``
     for symmetric a.  Both norms of ``L^-1`` are taken from the column and
-    row sums of its absolute values, one row block at a time, so that no
-    m x m temporary is allocated.
+    row sums of its absolute values (:func:`_abs_sums`).
     """
     if l is None:
         return None, np.inf
     l_inv = _lower_inverse(l)
-    m = len(l_inv)
-    col_sums, row_sums = np.zeros(m), np.empty(m)
-    for rows in _row_blocks(m, m):
-        block = np.abs(l_inv[rows])
-        col_sums += block.sum(axis=0)
-        row_sums[rows] = block.sum(axis=1)
+    col_sums, row_sums = _abs_sums(l_inv)
     return l_inv, float(a_norm * col_sums.max() * row_sums.max())
 
 
@@ -288,22 +317,102 @@ def _admitted(d: np.ndarray, kappa: float, shift: float) -> bool:
     return bool(low > 0 and kappa * (abs(d[-1]) + shift) <= WHITENED_COND_LIMIT * low)
 
 
-def _system(gtg: np.ndarray, kmm: np.ndarray, shift: float, out=None) -> np.ndarray:
-    """``gtg + shift * kmm`` in one allocation, or written over ``out`` (which
-    may be ``kmm``), with the same bits either way."""
-    a = np.multiply(kmm, shift, out=out)
+def _system(gtg: np.ndarray, kmm: np.ndarray, shift: float) -> np.ndarray:
+    """``gtg + shift * kmm`` in one allocation."""
+    a = np.multiply(kmm, shift)
     a += gtg
     return a
 
 
+def _add_kmm(a: np.ndarray, kernel: KernelSpec, centers: PointSet, shift: float) -> np.ndarray:
+    """``a += shift * Kmm`` for a symmetric ``a``, one row block of ``Kmm``
+    (``BLOCK_BYTES``) at a time; the lower triangle is then mirrored, so
+    ``a`` stays bitwise symmetric.  Returns ``a``.
+
+    A sweep builds its ``Kmm`` as ``_add_kmm(zeros, ..., 1.0)`` from the
+    same blocks, so a one-lam system formed here is ``_system(gtg, Kmm,
+    shift)`` bit for bit.  :func:`gram` would not do: numpy computes the
+    whole product of the centers with themselves as a symmetric rank-k
+    update, whose rows a row block's GEMM ``cx[rows] @ cx.T`` matches bit
+    for bit only when it is one block (m up to 362), and not for all
+    larger center sets (t = 27, 33 or 55 among the bundled designs).
+    """
+    cx = centers.xyz
+    for rows in _row_blocks(len(cx), len(cx)):
+        block = cx[rows] @ cx.T
+        zonal_value(kernel, block, out=block)
+        block *= shift
+        a[rows] += block
+    _mirror_lower(a)
+    return a
+
+
+def _assembly_blocks(n: int, m: int) -> tuple[int, int]:
+    """``(rows, width)``: the row blocks of ``Knm`` and the column panels of
+    ``Knm^T Knm`` that :func:`_normal_matrices` streams for n sites and m
+    centers.  Its workspace holds ``rows * m + m * width`` doubles.
+
+    A panel is m / 8 columns wide, or as wide as two ``BLOCK_BYTES`` of
+    ``Knm`` rows if that is more, and at most m: narrower panels slow the
+    GEMMs (at m = 864 and N = 100 000, 151 columns took a fifth more GEMM
+    time than 302).  A row block is m / 8 rows tall, or one ``BLOCK_BYTES``
+    of rows, or N / 8 rows up to m, whichever is most: each block adds
+    about m^2 / 2 products to ``Knm^T Knm``, so the adds cost at most
+    4 m^2 + N m / 2 against the N m^2 / 2 multiply-adds of the GEMMs, and
+    the workspace stays within 9 m^2 / 8 doubles or three ``BLOCK_BYTES``
+    however large N is.
+    """
+    eighth = -(-m // 8)
+    width = min(m, max(2 * _block_rows(m), eighth))
+    return min(n, max(_block_rows(m), eighth, min(m, -(-n // 8)))), width
+
+
+def _mirror_lower(a: np.ndarray) -> None:
+    """Copy the lower triangle of ``a`` over its upper triangle, so that
+    ``a == a.T`` bitwise, a strip of 64 rows at a time: no temporary is
+    larger than one strip."""
+    m = len(a)
+    for j in range(0, m, 64):
+        end = min(j + 64, m)
+        a[j:end, end:] = a[end:, j:end].T
+        diagonal, upper = a[j:end, j:end], np.triu_indices(end - j, 1)
+        diagonal[upper] = diagonal.T[upper]
+
+
 def _normal_matrices(kernel: KernelSpec, data: PointSet, centers: PointSet, ys):
-    """``(Knm^T Knm, [Knm^T y for y in ys], Kmm)``, with ``Knm`` freed
-    before ``Kmm`` is built."""
-    knm = cross_matrix(kernel, data, centers)
-    gtg = knm.T @ knm
-    rhs = [knm.T @ y for y in ys]
-    del knm
-    return gtg, rhs, gram(kernel, centers)
+    """``(Knm^T Knm, [Knm^T y for y in ys])``, streamed from row blocks of
+    ``Knm``, which is never whole.
+
+    One workspace is allocated (:func:`_assembly_blocks`).  Each row
+    block's dot products with the centers are written into its first part,
+    and their kernel values over them (:func:`zonal_value`); each
+    ``Knm^T y`` adds one GEMV per block.  The lower triangle of
+    ``Knm^T Knm`` adds, for each column panel, the block's product of the
+    panel's columns with every column at or past it: numpy has no
+    ``C += A^T B``, so the product lands in the rest of the workspace and
+    is then added.  At the end the lower triangle is mirrored, so the
+    result is bitwise symmetric.  With one block and one panel the product
+    is numpy's ``Knm.T @ Knm`` (a symmetric rank-k update), bit for bit.
+    """
+    xyz, cx = data.xyz, centers.xyz
+    n, m = len(xyz), len(cx)
+    rows, width = _assembly_blocks(n, m)
+    work = np.empty(rows * m + m * width)
+    blocks, products = work[:rows * m], work[rows * m:]
+    gtg, rhs = np.zeros((m, m)), [np.zeros(m) for _ in ys]
+    for lo in range(0, n, rows):
+        block = blocks[:min(rows, n - lo) * m].reshape(-1, m)
+        np.matmul(xyz[lo:lo + rows], cx.T, out=block)
+        zonal_value(kernel, block, out=block)
+        for b, y in zip(rhs, ys):
+            b += block.T @ y[lo:lo + rows]
+        for j in range(0, m, width):
+            cols = slice(j, min(j + width, m))
+            product = products[:(m - j) * (cols.stop - j)].reshape(m - j, -1)
+            np.matmul(block[:, j:].T, block[:, cols], out=product)
+            gtg[j:, cols] += product
+    _mirror_lower(gtg)
+    return gtg, rhs
 
 
 def _check_values(values, n: int) -> np.ndarray:
@@ -320,9 +429,10 @@ def fit_sketched_multi(kernel: KernelSpec, data: PointSet, label_sets,
     """Fit every (label set, lam) pair on one input set, sharing all the work
     that does not depend on the labels.
 
-    The kernel matrices, ``Knm^T Knm`` and every ``b = Knm^T y`` are built
-    once.  Each lam is solved as ``alpha = V (c / w)`` from a factorization
-    ``(w, V)`` of its system ``A`` and each label set's coordinates ``c``.
+    ``Knm^T Knm`` and every ``b = Knm^T y`` are streamed once
+    (:func:`_normal_matrices`), and a sweep builds ``Kmm`` once.  Each lam
+    is solved as ``alpha = V (c / w)`` from a factorization ``(w, V)`` of
+    its system ``A`` and each label set's coordinates ``c``.
     With more than one lam, the system is whitened by ``Kmm`` and
     decomposed once (:func:`_whiten`); a lam whose condition bound is within
     ``WHITENED_COND_LIMIT`` takes ``(D + lam*N, P, P^T b)`` from it (method
@@ -334,8 +444,9 @@ def fit_sketched_multi(kernel: KernelSpec, data: PointSet, label_sets,
     Such a lam is solved bit for bit as a one-lam sweep solves it.  Returns
     one list of models per label set, in ``lams`` order.  Each
     ``wall_time`` is the whole assembly, the whole decomposition its lam
-    used (a rejected Cholesky attempt included, and for a one-lam fit the
-    second assembly its pseudo-inverse needs) and its own solve.  The
+    used (for a one-lam fit the adding of ``Kmm`` to its system, a rejected
+    Cholesky attempt included, and the second assembly its pseudo-inverse
+    needs) and its own solve.  The
     whole working set (module docstring) is checked against the memory
     budget before anything is allocated.
     """
@@ -351,21 +462,23 @@ def fit_sketched_multi(kernel: KernelSpec, data: PointSet, label_sets,
     sweep = len(lams) > 1
     # the working set of the module docstring; a sweep keeps Knm^T Knm and
     # Kmm, and its whitening holds two more m x m matrices
-    _check_budget(8 * max(n * m + m * m, (5 if sweep else 3) * m * m),
+    rows, width = _assembly_blocks(n, m)
+    _check_budget(8 * ((5 if sweep else 3) * m * m + rows * m + m * width),
                   f"sketched fit of {n} sites on {m} centers")
     t0 = time.perf_counter()
-    gtg, rhs, kmm = _normal_matrices(kernel, data, centers, ys)
+    gtg, rhs = _normal_matrices(kernel, data, centers, ys)
+    kmm = _add_kmm(np.zeros((m, m)), kernel, centers, 1.0) if sweep else None
     assembly = time.perf_counter() - t0
 
     def system(shift):
         # a sweep keeps gtg, Kmm and the basis and forms each lam's system
-        # anew; a one-lam fit forms its one system in Kmm's storage and
-        # drops gtg, so forming it a second time takes a second assembly
-        nonlocal gtg, kmm
+        # anew; a one-lam fit adds lam*N*Kmm into gtg's storage, so forming
+        # it a second time takes a second assembly
+        nonlocal gtg
         if sweep:
             return _system(gtg, kmm, shift)
-        a, gtg, kmm = _system(gtg, kmm, shift, out=kmm), None, None
-        return a
+        a, gtg = gtg, None
+        return _add_kmm(a, kernel, centers, shift)
 
     t0 = time.perf_counter()
     whitened = _whiten(gtg, kmm) if sweep else None
@@ -391,7 +504,7 @@ def fit_sketched_multi(kernel: KernelSpec, data: PointSet, label_sets,
                 method, w = "cholesky", np.ones(m)
             else:
                 if not sweep:   # the factorization wrote over the one system
-                    gtg, _, kmm = _normal_matrices(kernel, data, centers, [])
+                    gtg, _ = _normal_matrices(kernel, data, centers, [])
                 # the system is released before the kept eigenvectors are copied
                 w, v = np.linalg.eigh(system(shift))
                 method, (w, v) = "eig-pinv", _kept_eigenpairs(w, v)

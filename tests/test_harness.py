@@ -31,17 +31,28 @@ def toy_config(**overrides) -> ExperimentConfig:
 
 
 def spy_test_kernels(monkeypatch) -> list:
-    """Record each (kernel, dot) that sphfit.solver passes to zonal_value.
-    Matrix assembly calls kernels.zonal_value directly, so only the
-    test-grid evaluations are recorded."""
-    calls = []
-    real = solver_mod.zonal_value
+    """Record each (kernel, dot) that sphfit.solver passes to zonal_value
+    while the harness scores its models (``harness.rmse_sweep``), so only
+    the test-grid evaluations are recorded.  The fits' streamed assembly
+    evaluates its blocks of Knm through the same name, outside the
+    scoring; Kmm comes from kernels.zonal_value directly."""
+    calls, scoring = [], []
+    real_zonal, real_sweep = solver_mod.zonal_value, harness_mod.rmse_sweep
 
-    def spy(spec, dot):
-        calls.append((spec, dot))
-        return real(spec, dot)
+    def spy(spec, dot, out=None):
+        if scoring:
+            calls.append((spec, dot))
+        return real_zonal(spec, dot, out=out)
+
+    def scored(*args):
+        scoring.append(True)
+        try:
+            return real_sweep(*args)
+        finally:
+            scoring.pop()
 
     monkeypatch.setattr(solver_mod, "zonal_value", spy)
+    monkeypatch.setattr(harness_mod, "rmse_sweep", scored)
     return calls
 
 

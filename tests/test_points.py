@@ -148,6 +148,24 @@ class TestSpiral:
         with pytest.raises(ValueError):
             generate_spiral(1)
 
+    @pytest.mark.parametrize("n", [2, 3, 10, 2000, 10000, 40000])
+    def test_matches_loop_oracle_bitwise(self, n):
+        # the azimuths as one Python loop computed them, step and all, with
+        # the rest of the construction unchanged
+        h = -1.0 + 2.0 * np.arange(n) / (n - 1)
+        theta = np.arccos(np.clip(h, -1.0, 1.0))
+        phi = np.zeros(n)
+        acc = 0.0
+        for i in range(1, n - 1):
+            acc = (acc + 3.6 / math.sqrt(n * (1.0 - h[i] * h[i]))) % (2.0 * math.pi)
+            phi[i] = acc
+        sin_t = np.sin(theta)
+        xyz = np.column_stack([sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)])
+        xyz[0] = (0.0, 0.0, -1.0)
+        xyz[-1] = (0.0, 0.0, 1.0)
+        expect = xyz / np.linalg.norm(xyz, axis=1, keepdims=True)
+        assert generate_spiral(n).xyz.tobytes() == expect.tobytes()
+
 
 class TestEqArea:
     def test_n1_north_pole(self):

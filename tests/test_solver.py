@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sphfit.data import NoiseModel, TargetFunction, make_dataset, rmse
-from sphfit.designs import load_design
+from sphfit.designs import available_degrees, load_design
 from sphfit.harness import GridSpec
 from sphfit.kernels import KernelSpec, MatrixSizeError, cross_matrix, gram, zonal_value
 from sphfit.points import PointSet, generate_spiral
@@ -383,12 +383,15 @@ class TestPredict:
 
 
 def per_lambda_eigh_fit(kernel, data, y, centers, lams):
-    """Slow reference: assemble and pseudo-invert one normal system per lam
-    with the operations the solver has always used; (coefficients, rank,
-    eigenvalues of the system matrix) per lam."""
-    knm = cross_matrix(kernel, data, centers)
+    """Slow reference: pseudo-invert one normal system per lam, formed from
+    the solver's own ``Knm^T Knm`` and ``Knm^T y`` (which TestStreamedAssembly
+    checks against a whole ``Knm``) and ``Kmm``, with the operations the
+    solver has always used; (coefficients, rank, eigenvalues of the system
+    matrix) per lam.  When the assembly is one row block and one panel, as
+    in most tests here, those are ``knm.T @ knm`` and ``knm.T @ y`` bit for
+    bit."""
+    gtg, (rhs,) = solver_mod._normal_matrices(kernel, data, centers, [y])
     kmm = gram(kernel, centers)
-    gtg, rhs = knm.T @ knm, knm.T @ y
     out = []
     for lam in lams:
         w, v = np.linalg.eigh(gtg + (lam * len(data)) * kmm)
@@ -457,6 +460,23 @@ class TestMultiFit:
                         alone.diagnostics, wall_time=model.diagnostics.wall_time)
                 assert model.lam == alone.lam
 
+    def test_rejected_lambdas_match_one_lambda_fits_past_one_block(self):
+        # t = 27 centers (m = 380) on the t = 33 design: the assembly streams
+        # two row blocks, and Kmm is built from two row blocks, whose GEMMs
+        # round some entries apart from gram's symmetric product.  Every lam
+        # the whitening rejects (three by Cholesky, one by the
+        # pseudo-inverse) is still solved as a one-lam fit solves it
+        data, centers = load_design(33), load_design(27)
+        kernel, y = KernelSpec.gaussian(0.3), smooth_values(data)
+        lams = [1e-1, 1e-2, 1e-3, 1e-6]
+        sweep = fit_sketched_multi(kernel, data, [y], centers, lams)[0]
+        assert [m.diagnostics.method for m in sweep] == ["cholesky"] * 3 + ["eig-pinv"]
+        for lam, model in zip(lams, sweep):
+            alone = fit_sketched(kernel, data, y, centers, lam)
+            assert model.coefficients.tobytes() == alone.coefficients.tobytes()
+            assert model.diagnostics == replace(alone.diagnostics,
+                                                wall_time=model.diagnostics.wall_time)
+
     def test_order_preserved(self, design13):
         y = smooth_values(design13)
         models = fit_sketched_multi(KernelSpec.wendland(), design13, [y],
@@ -499,14 +519,16 @@ class TestMultiFit:
 
     def test_sweep_charges_whole_assembly_to_every_model(self, design13, monkeypatch):
         # wall_time is the cost of one single-lam fit: the shared assembly is
-        # not split between the label sets or the lams
-        real = solver_mod.cross_matrix
+        # not split between the label sets or the lams.  The assembly's
+        # kernel evaluation is slowed: the sweep's other kernel values
+        # (Kmm) come from sphfit.kernels and do not pass through it
+        real = solver_mod.zonal_value
 
-        def slow_cross_matrix(*args):
+        def slow_zonal_value(*args, **kwargs):
             time.sleep(0.05)
-            return real(*args)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(solver_mod, "cross_matrix", slow_cross_matrix)
+        monkeypatch.setattr(solver_mod, "zonal_value", slow_zonal_value)
         y = smooth_values(design13)
         sweeps = fit_sketched_multi(KernelSpec.wendland(), design13, [y, 2.0 * y, -y],
                                     design13, [1e-2, 1e-4])
@@ -896,6 +918,101 @@ class TestCholeskyArm:
         assert solver_mod._inverse_bound(None, np.inf) == (None, np.inf)
 
 
+def whole_knm_normal_matrices(kernel, data, centers, ys):
+    """The reference assembly: ``Knm`` whole, ``(Knm^T Knm, [Knm^T y], Knm)``."""
+    knm = cross_matrix(kernel, data, centers)
+    return knm.T @ knm, [knm.T @ y for y in ys], knm
+
+
+class TestStreamedAssembly:
+    @pytest.mark.parametrize("data_degree, center_degree, kernel, block_bytes", [
+        (33, 9, KernelSpec.gaussian(0.5), None),     # one block, one panel
+        (57, 25, KernelSpec.wendland(), None),       # 3 blocks, the last of 60 rows, one panel
+        (57, 41, KernelSpec.gaussian(0.3), None),    # 6 blocks, 3 panels, the last of 260
+        (17, 13, KernelSpec.wendland(), 8 * 94 * 10),    # 20-row blocks and panels, both ragged
+    ], ids=["one-block", "one-panel", "panels", "ragged"])
+    def test_matches_whole_knm(self, data_degree, center_degree, kernel, block_bytes,
+                               monkeypatch):
+        # Each entry of Knm^T Knm and of Knm^T y is a sum of N products,
+        # summed in another order than the whole-Knm product sums them:
+        # both are within N eps |Knm|^T |Knm| (or |Knm|^T |y|) of it.  The
+        # lower triangle is mirrored, so the result is bitwise symmetric;
+        # with one block and one panel it is numpy's product bit for bit
+        if block_bytes is not None:
+            monkeypatch.setattr(points_mod, "BLOCK_BYTES", block_bytes)
+        data, centers = load_design(data_degree), load_design(center_degree)
+        n, m = len(data), len(centers)
+        ys = [smooth_values(data), np.sin(5.0 * data.xyz[:, 0])]
+        gtg, rhs = solver_mod._normal_matrices(kernel, data, centers, ys)
+        expect_gtg, expect_rhs, knm = whole_knm_normal_matrices(kernel, data, centers, ys)
+        rows, width = solver_mod._assembly_blocks(n, m)
+        eps, abs_knm = np.finfo(float).eps, np.abs(knm)
+        assert np.array_equal(gtg, gtg.T)
+        assert np.all(np.abs(gtg - expect_gtg) <= n * eps * (abs_knm.T @ abs_knm))
+        for b, expect, y in zip(rhs, expect_rhs, ys):
+            assert np.all(np.abs(b - expect) <= n * eps * (abs_knm.T @ np.abs(y)))
+        if rows == n and width == m:
+            assert gtg.tobytes() == expect_gtg.tobytes()
+            assert all(b.tobytes() == expect.tobytes() for b, expect in zip(rhs, expect_rhs))
+        else:
+            assert not np.array_equal(gtg, expect_gtg)
+
+    @pytest.mark.parametrize("degree", [t for t in available_degrees() if t >= 9])
+    @pytest.mark.parametrize("kernel", KERNELS, ids=["gaussian", "wendland"])
+    def test_one_lambda_system_is_the_sweep_system(self, degree, kernel):
+        # A one-lam fit adds lam*N*Kmm into Knm^T Knm's storage row block by
+        # row block, and a sweep builds its Kmm from the same blocks, so the
+        # two systems are the same bits, both bitwise symmetric: a lam the
+        # whitening rejects is solved as a one-lam fit solves it.  Kmm is
+        # gram's bit for bit when it is one block (m <= 362); beyond, numpy's
+        # row-block GEMMs round some dot products apart from gram's
+        # symmetric product, by a few units in the last place
+        centers = load_design(degree)
+        m = len(centers)
+        g = np.random.default_rng(degree).standard_normal((m, m))
+        gtg = g + g.T
+        shift = 2e-4 * 1656
+        kmm = solver_mod._add_kmm(np.zeros((m, m)), kernel, centers, 1.0)
+        expect = solver_mod._system(gtg, kmm, shift)
+        got = solver_mod._add_kmm(gtg.copy(), kernel, centers, shift)
+        assert got.tobytes() == expect.tobytes()
+        assert np.array_equal(got, got.T) and np.array_equal(kmm, kmm.T)
+        reference = gram(kernel, centers)
+        if len(list(points_mod._row_blocks(m, m))) == 1:
+            assert kmm.tobytes() == reference.tobytes()
+        assert np.all(np.abs(kmm - reference) <= 64 * np.finfo(float).eps)
+
+    def test_one_lambda_peak_does_not_grow_with_n(self):
+        # m = 328 centers on 4 m and on 32 m spiral sites: Knm (N m doubles)
+        # is never whole, so the traced peaks agree to within one row block
+        # (they grew by 28 m^2 while Knm was whole)
+        kernel, centers = KernelSpec.wendland(), load_design(25)
+        m = len(centers)
+        peaks = []
+        for n in (4 * m, 32 * m):
+            data = generate_spiral(n)
+            y = smooth_values(data)
+            peaks.append(traced_peak(lambda: fit_sketched(kernel, data, y, centers, 2e-4)))
+        rows, _ = solver_mod._assembly_blocks(32 * m, m)
+        assert abs(peaks[1] - peaks[0]) <= 8 * rows * m
+
+    def test_fit_with_knm_over_budget_succeeds(self, monkeypatch):
+        # N = 8000 sites on m = 864 centers under a budget of 6 m^2 doubles:
+        # Knm alone (N m doubles) is over it, which refused the fit while
+        # Knm was whole.  The streamed fit is within it, traced
+        data, centers = generate_spiral(8000), load_design(41)
+        n, m = len(data), len(centers)
+        budget = 8 * 6 * m * m
+        assert 8 * n * m > budget >= one_lambda_bytes(n, m)
+        monkeypatch.setattr(sphfit.kernels, "DEFAULT_MEMORY_BUDGET", budget)
+        y = smooth_values(data)
+        models = []
+        peak = traced_peak(lambda: models.append(
+            fit_sketched(KernelSpec.wendland(), data, y, centers, 2e-4)))
+        assert models[0].diagnostics.method == "cholesky"
+        assert peak <= budget
+
+
 # One fit at m = N = 1656 after small warm-up fits have started the BLAS
 # threads and loaded numpy.linalg; prints the growth of the process's peak
 # resident size in units of m x m doubles.  The fit is a one-lam sketched
@@ -929,28 +1046,46 @@ print((peak_kib() - before) * 1024 / (8 * len(sites) ** 2))
 """
 
 
+def workspace_doubles(n: int, m: int) -> int:
+    """The doubles of the streamed assembly's workspace for n sites and m centers."""
+    rows, width = solver_mod._assembly_blocks(n, m)
+    return rows * m + m * width
+
+
+def one_lambda_bytes(n: int, m: int) -> int:
+    """The bytes a one-lam sketched fit checks against the memory budget:
+    its pseudo-inverse's 3 m^2 doubles and the assembly's workspace."""
+    return 8 * (3 * m * m + workspace_doubles(n, m))
+
+
 class TestWorkingSet:
     """What a fit holds at most, as the solver module docstring states it:
-    max(N m + m^2, 2 m^2) doubles for one lam and max(N m + m^2, 5 m^2)
-    for a whitened sweep, and 1.5 N^2 for ``fit_full``, plus one block
-    (slack of 2 MiB here).  tracemalloc does not see numpy's LAPACK
+    for one lam, ``Knm^T Knm``, the assembly's workspace of W doubles and
+    the kernel temporaries of one row block of B doubles, m^2 + W + B, or
+    the factorization's 1.5 m^2 or the pseudo-inverse's 2 m^2 if more;
+    5 m^2 for a whitened sweep; and 1.375 N^2 for ``fit_full``, plus one
+    block (slack of 2 MiB here).  tracemalloc does not see numpy's LAPACK
     copies."""
 
     @pytest.mark.parametrize("data_degree, center_degree, lam, method", [
         (41, 41, 2e-4, "cholesky"), (41, 41, 1e-14, "eig-pinv"),
         (57, 25, 2e-4, "cholesky")])
     def test_one_lambda_fit(self, data_degree, center_degree, lam, method):
-        # m = N = 864 on both arms (3 m^2 while the factor had its own
-        # storage), and N = 1656 > m = 328, where Knm and Knm^T Knm set the
-        # peak.  The pseudo-inverse arm assembles its system a second time
-        # and holds no more than the first assembly did
+        # m = N = 864 on both arms (1.68 and 2.01 m^2 seen; 2.33 m^2 while
+        # Knm was whole), and N = 1656 > m = 328, where the assembly sets
+        # the peak (4.29 m^2 seen, 7.33 m^2 while Knm was whole).  The
+        # pseudo-inverse arm assembles its system a second time and holds
+        # no more than the first assembly did
         data, centers = load_design(data_degree), load_design(center_degree)
         n, m = len(data), len(centers)
         models = []
         peak = traced_peak(lambda: models.append(
             fit_sketched(KernelSpec.wendland(), data, smooth_values(data), centers, lam)))
         assert models[0].diagnostics.method == method
-        assert peak <= 8 * max(n * m + m * m, 2 * m * m) + 2**21
+        arm = 2.0 if method == "eig-pinv" else 1.5
+        rows, _ = solver_mod._assembly_blocks(n, m)
+        assembly = m * m + workspace_doubles(n, m) + rows * m
+        assert peak <= 8 * max(assembly, arm * m * m) + 2**21
 
     def test_sweep_through_every_arm(self):
         # m = N = 864: 9.9 m^2 before the working set was bounded
@@ -964,15 +1099,17 @@ class TestWorkingSet:
         assert peak <= 8 * 5 * m * m + 2**21
 
     def test_fit_full_cholesky_arm(self):
-        # N = 864: the system and numpy's factors of its two half-size
-        # blocks (2 N^2 while the factor had its own storage)
+        # N = 864: the system, numpy's factor of a half-size block and the
+        # L21 substitution's product of N^2 / 8 (1.33 N^2 seen; 2 N^2 while
+        # the factor had its own storage, 1.5 N^2 while L21 was solved into
+        # a new array)
         sites = load_design(41)
         n = len(sites)
         models = []
         peak = traced_peak(lambda: models.append(
             fit_full(KernelSpec.wendland(), sites, smooth_values(sites), 2e-4)))
         assert models[0].diagnostics.method == "cholesky"
-        assert peak <= 8 * 1.5 * n * n + 2**21
+        assert peak <= 8 * 1.375 * n * n + 2**21
 
     def test_fit_full_pseudo_inverse_fallback(self, monkeypatch):
         # N = 864 with the certificate failing: the system is freed before
@@ -1005,15 +1142,18 @@ class TestWorkingSet:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
     def test_one_lambda_fit_resident_growth(self):
-        # 2 m^2 for the assembly, which the factorization does not exceed
-        # (2.35 m^2 seen; 7.3 m^2 before the working set was bounded)
-        assert self.resident_growth("sketched") <= 3.0
+        # the system and a half-size block with numpy's copy of it, which
+        # the streamed assembly does not exceed (1.74 m^2 seen, 1.65 m^2 with
+        # one BLAS thread; 2.35 m^2 while Knm was whole, 7.3 m^2 before the
+        # working set was bounded)
+        assert self.resident_growth("sketched") <= 2.0
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
     def test_fit_full_resident_growth(self):
-        # the system and two half-size blocks with numpy's copies of them,
-        # 1.75 N^2 (1.84 N^2 seen)
-        assert self.resident_growth("full") <= 2.5
+        # the system and a half-size block with numpy's copy of it, 1.5 N^2
+        # (1.71 N^2 seen, 1.64 N^2 with one BLAS thread; 1.84 N^2 while L21
+        # was solved into a new array)
+        assert self.resident_growth("full") <= 2.0
 
     def test_more_centers_than_sites_refused_before_allocating(self, monkeypatch):
         # N = 12 sites, m = 156 centers: Knm (15 KB) is within a 64 KiB
@@ -1024,7 +1164,7 @@ class TestWorkingSet:
 
         def fit():
             with pytest.raises(MatrixSizeError, match="sketched fit of 12 sites on 156 "
-                                                      f"centers needs {8 * 3 * 156**2} bytes"):
+                                                      f"centers needs {one_lambda_bytes(12, 156)} bytes"):
                 fit_sketched(KernelSpec.wendland(), data, smooth_values(data), centers, 0.0)
 
         assert traced_peak(fit) <= budget + 2**14
@@ -1032,8 +1172,9 @@ class TestWorkingSet:
     def test_working_set_over_budget_refused_before_allocating(self, monkeypatch):
         # N = m = 864 under a budget of one N x N matrix: each matrix of the
         # fit is within it, the whole working set is not (the pseudo-inverse
-        # of a one-lam sketched fit holds 3 m^2 doubles and that of fit_full
-        # 3 N^2, each counting the copy eigh makes of its system)
+        # of a one-lam sketched fit holds 3 m^2 doubles beside the assembly's
+        # workspace and that of fit_full 3 N^2, each counting the copy eigh
+        # makes of its system)
         data = load_design(41)
         n = len(data)
         budget = 8 * n * n
@@ -1049,7 +1190,7 @@ class TestWorkingSet:
         assert_refused(lambda: fit_full(KernelSpec.wendland(), data, y, 2e-4),
                        f"full fit of {n} sites needs {8 * 3 * n * n} bytes")
         assert_refused(lambda: fit_sketched(KernelSpec.wendland(), data, y, data, 2e-4),
-                       f"sketched fit of {n} sites on {n} centers needs {8 * 3 * n * n} bytes")
+                       f"sketched fit of {n} sites on {n} centers needs {one_lambda_bytes(n, n)} bytes")
 
 
 class TestValidationAndDiagnostics:
