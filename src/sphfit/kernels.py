@@ -9,7 +9,8 @@ cancellation near coincident points.
 matrices, the harmonic sums and the working set of each fit pass it the
 bytes they are about to allocate.  :func:`cross_matrix` evaluates the kernel
 into its dot-product matrix one row block at a time, so it holds the output
-plus one block's temporaries.
+plus one block's temporaries.  Every symmetric kernel matrix is built from
+the row blocks of :func:`_kernel_rows` and mirrored by :func:`_mirror_lower`.
 """
 
 from __future__ import annotations
@@ -142,12 +143,7 @@ def cross_matrix(spec: KernelSpec, rows: PointSet, cols: PointSet) -> np.ndarray
     The dot products come from one product of the coordinate arrays, which
     :func:`zonal_value` then overwrites one row block (``_row_blocks``) at
     a time: the peak is the output plus one block's temporaries, and each
-    entry is bitwise ``zonal_value`` of its dot product.  With
-    ``rows is cols``, numpy computes that product of the C-ordered
-    coordinates with their own transpose as a symmetric rank-k update
-    (``syrk``) and fills the other triangle by copying, so the result
-    satisfies ``M == M.T`` bitwise.  (Blockwise products would not: they
-    round the two triangles differently.)
+    entry is bitwise ``zonal_value`` of its dot product.
     """
     _check_budget(8 * len(rows) * len(cols), f"{len(rows)} x {len(cols)} kernel matrix")
     out = rows.xyz @ cols.xyz.T
@@ -156,6 +152,32 @@ def cross_matrix(spec: KernelSpec, rows: PointSet, cols: PointSet) -> np.ndarray
     return out
 
 
+def _kernel_rows(spec: KernelSpec, points: PointSet, centers: PointSet, rows, out) -> np.ndarray:
+    """Kernel values of ``points[rows]`` against ``centers``, returned in
+    ``out`` (C-ordered): the dot products' GEMM, then zonal_value in place."""
+    np.matmul(points.xyz[rows], centers.xyz.T, out=out)
+    return zonal_value(spec, out, out=out)
+
+
+def _mirror_lower(a: np.ndarray) -> None:
+    """Copy the lower triangle of ``a`` over its upper triangle, so that
+    ``a == a.T`` bitwise, a strip of 64 rows at a time: no temporary is
+    larger than one strip."""
+    m = len(a)
+    for j in range(0, m, 64):
+        end = min(j + 64, m)
+        a[j:end, end:] = a[end:, j:end].T
+        diagonal, upper = a[j:end, j:end], np.triu_indices(end - j, 1)
+        diagonal[upper] = diagonal.T[upper]
+
+
 def gram(spec: KernelSpec, point_set: PointSet) -> np.ndarray:
-    """Symmetric kernel matrix of a set against itself (bitwise symmetric)."""
-    return cross_matrix(spec, point_set, point_set)
+    """Kernel matrix of a set against itself, ``K == K.T`` bitwise: its row
+    blocks (:func:`_kernel_rows`), mirrored.  Peak: K and one block's temporaries."""
+    n = len(point_set)
+    _check_budget(8 * n * n, f"{n} x {n} kernel matrix")
+    out = np.empty((n, n))
+    for rows in _row_blocks(n, n):
+        _kernel_rows(spec, point_set, point_set, rows, out[rows])
+    _mirror_lower(out)
+    return out

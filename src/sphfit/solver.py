@@ -33,10 +33,9 @@ Working set.  ``Knm`` (N x m) is never whole: ``Knm^T Knm`` and every
 in one workspace of W doubles (:func:`_assembly_blocks`): about m^2 / 4
 when N is near m, and however large N is at most 9 m^2 / 8 doubles or three
 ``BLOCK_BYTES``, whichever is more.  The kernel temporaries of one row
-block of B doubles add about B more.  A sweep then builds
-``Kmm``; a one-lam fit adds lam*N*Kmm into the storage of ``Knm^T Knm``
-one row block (``BLOCK_BYTES``) at a time, so it never holds ``Kmm``
-(:func:`_add_kmm`).
+block of B doubles add about B more.  A sweep then builds ``Kmm`` by
+:func:`gram`; a one-lam fit adds the same row blocks of lam*N*Kmm into the
+storage of ``Knm^T Knm`` one at a time, so it never holds ``Kmm`` (:func:`_add_kmm`).
 Every Cholesky factorization is written over its system and the factor is
 inverted in place; while it runs, numpy holds its copy of one half-size
 block and that block's factor, m^2 / 2 doubles (:func:`_cholesky_in_place`),
@@ -58,6 +57,7 @@ holds 3 N^2 with eigh's copy, freeing the system before the kept
 eigenvectors are copied out.  Each fit checks the doubles of its
 pseudo-inverse arm (3 m^2 or 5 m^2 plus W, and 3 N^2) against the memory
 budget before it allocates anything, so the Cholesky arms are covered too.
+Scoring holds one workspace of three ``BLOCK_BYTES`` (:func:`_scored_blocks`).
 """
 
 from __future__ import annotations
@@ -69,7 +69,8 @@ import numpy as np
 
 # cross_matrix is no longer called here, but the binding stays: the
 # benchmark's trace (perfbench/) wraps it in every module that holds it
-from .kernels import KernelSpec, _check_budget, cross_matrix, gram, zonal_value  # noqa: F401
+from .kernels import (KernelSpec, _check_budget, _kernel_rows, _mirror_lower,  # noqa: F401
+                      cross_matrix, gram, zonal_value)
 from .points import (PointFileError, PointSet, _block_rows, _data_lines, _number, _read_rows,
                      _row_blocks, _unit_points, _write_rows)
 
@@ -245,19 +246,24 @@ def _cholesky_in_place(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _cholesky(a: np.ndarray) -> tuple[np.ndarray | None, float]:
-    """``(L, |a|_1)`` for ``a = L L^T``, with L written over ``a``
-    (:func:`_cholesky_in_place`), or ``(None, inf)`` if the factorization
-    fails, which leaves ``a`` overwritten too.
+def _inverse_factor(a: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """``(L^-1, kappa)`` for ``a = L L^T``, with L written over ``a``
+    (:func:`_cholesky_in_place`) and inverted in place (:func:`_lower_inverse`),
+    or ``(None, inf)``, with ``a`` overwritten, if the factorization fails.
 
-    The norm is taken before ``a`` is overwritten, from column sums of
-    ``|a|`` (:func:`_abs_sums`).
+    ``kappa = |a|_1 |L^-1|_1 |L^-1|_inf`` bounds cond_2(a) from above, since
+    ``|a^-1|_2 = |L^-1|_2^2 <= |L^-1|_1 |L^-1|_inf`` and ``|a|_2 <= |a|_1``
+    for symmetric a.  Each norm comes from column and row sums of absolute
+    values (:func:`_abs_sums`), that of ``a`` before it is overwritten.
     """
     a_norm = float(_abs_sums(a)[0].max())
     try:
-        return _cholesky_in_place(a), a_norm
+        l = _cholesky_in_place(a)
     except np.linalg.LinAlgError:
         return None, np.inf
+    l_inv = _lower_inverse(l)
+    col_sums, row_sums = _abs_sums(l_inv)
+    return l_inv, float(a_norm * col_sums.max() * row_sums.max())
 
 
 def _abs_sums(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -272,35 +278,18 @@ def _abs_sums(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return col_sums, row_sums
 
 
-def _inverse_bound(l: np.ndarray | None, a_norm: float) -> tuple[np.ndarray | None, float]:
-    """Overwrite the Cholesky factor L of a matrix a with ``L^-1`` and return
-    ``(L^-1, kappa)``, given ``a_norm = |a|_1`` (:func:`_cholesky`), or
-    ``(None, inf)`` for no factor.
-
-    ``kappa = |a|_1 |L^-1|_1 |L^-1|_inf`` bounds cond_2(a) from above, since
-    ``|a^-1|_2 = |L^-1|_2^2 <= |L^-1|_1 |L^-1|_inf`` and ``|a|_2 <= |a|_1``
-    for symmetric a.  Both norms of ``L^-1`` are taken from the column and
-    row sums of its absolute values (:func:`_abs_sums`).
-    """
-    if l is None:
-        return None, np.inf
-    l_inv = _lower_inverse(l)
-    col_sums, row_sums = _abs_sums(l_inv)
-    return l_inv, float(a_norm * col_sums.max() * row_sums.max())
-
-
 def _whiten(gtg: np.ndarray, kmm: np.ndarray):
     """One decomposition that solves ``(gtg + s * kmm) alpha = b`` for every shift s.
 
     Factors ``kmm = L L^T`` and decomposes ``C = L^-1 gtg L^-T = Q D Q^T``;
     then ``alpha = P (P^T b) / (D + s)`` with ``P = L^-T Q``.  Returns
     (D ascending, P, kappa), where kappa bounds cond_2(kmm)
-    (:func:`_inverse_bound`), or None when the Cholesky factorization or
+    (:func:`_inverse_factor`), or None when the Cholesky factorization or
     the eigendecomposition fails or kappa alone exceeds the limit (then no
     shift is admitted).  The factor is written over a copy of ``kmm``: the
     sweep keeps ``kmm`` to form each rejected shift's system.
     """
-    l_inv, kappa = _inverse_bound(*_cholesky(kmm.copy()))
+    l_inv, kappa = _inverse_factor(kmm.copy())
     if not kappa <= WHITENED_COND_LIMIT:
         return None
     try:
@@ -325,22 +314,14 @@ def _system(gtg: np.ndarray, kmm: np.ndarray, shift: float) -> np.ndarray:
 
 
 def _add_kmm(a: np.ndarray, kernel: KernelSpec, centers: PointSet, shift: float) -> np.ndarray:
-    """``a += shift * Kmm`` for a symmetric ``a``, one row block of ``Kmm``
-    (``BLOCK_BYTES``) at a time; the lower triangle is then mirrored, so
-    ``a`` stays bitwise symmetric.  Returns ``a``.
-
-    A sweep builds its ``Kmm`` as ``_add_kmm(zeros, ..., 1.0)`` from the
-    same blocks, so a one-lam system formed here is ``_system(gtg, Kmm,
-    shift)`` bit for bit.  :func:`gram` would not do: numpy computes the
-    whole product of the centers with themselves as a symmetric rank-k
-    update, whose rows a row block's GEMM ``cx[rows] @ cx.T`` matches bit
-    for bit only when it is one block (m up to 362), and not for all
-    larger center sets (t = 27, 33 or 55 among the bundled designs).
-    """
-    cx = centers.xyz
-    for rows in _row_blocks(len(cx), len(cx)):
-        block = cx[rows] @ cx.T
-        zonal_value(kernel, block, out=block)
+    """``a += shift * Kmm`` for a bitwise symmetric ``a``; returns ``a``.  Each
+    row block of :func:`gram` (:func:`_kernel_rows`) is written into one buffer,
+    scaled and added, then the lower triangle is mirrored: the result is
+    ``_system(a, gram(kernel, centers), shift)`` bit for bit, and Kmm is never whole."""
+    m = len(centers)
+    buffer = np.empty((min(m, _block_rows(m)), m))
+    for rows in _row_blocks(m, m):
+        block = _kernel_rows(kernel, centers, centers, rows, buffer[:m - rows.start])
         block *= shift
         a[rows] += block
     _mirror_lower(a)
@@ -365,18 +346,6 @@ def _assembly_blocks(n: int, m: int) -> tuple[int, int]:
     eighth = -(-m // 8)
     width = min(m, max(2 * _block_rows(m), eighth))
     return min(n, max(_block_rows(m), eighth, min(m, -(-n // 8)))), width
-
-
-def _mirror_lower(a: np.ndarray) -> None:
-    """Copy the lower triangle of ``a`` over its upper triangle, so that
-    ``a == a.T`` bitwise, a strip of 64 rows at a time: no temporary is
-    larger than one strip."""
-    m = len(a)
-    for j in range(0, m, 64):
-        end = min(j + 64, m)
-        a[j:end, end:] = a[end:, j:end].T
-        diagonal, upper = a[j:end, j:end], np.triu_indices(end - j, 1)
-        diagonal[upper] = diagonal.T[upper]
 
 
 def _normal_matrices(kernel: KernelSpec, data: PointSet, centers: PointSet, ys):
@@ -437,7 +406,7 @@ def fit_sketched_multi(kernel: KernelSpec, data: PointSet, label_sets,
     decomposed once (:func:`_whiten`); a lam whose condition bound is within
     ``WHITENED_COND_LIMIT`` takes ``(D + lam*N, P, P^T b)`` from it (method
     ``"whitened-eig"``).  Every other lam, and a sweep of one lam, factors
-    its own ``A = L L^T`` (:func:`_cholesky`, :func:`_inverse_bound`) and takes
+    its own ``A = L L^T`` (:func:`_inverse_factor`) and takes
     ``(1, L^-T, L^-1 b)`` (``"cholesky"``) when the bound kappa on
     ``cond_2(A)`` is at most ``1 / (CHOLESKY_MARGIN * m * eps)``; failing
     that, the kept eigenpairs of ``A`` and ``c = V^T b`` (``"eig-pinv"``).
@@ -467,7 +436,7 @@ def fit_sketched_multi(kernel: KernelSpec, data: PointSet, label_sets,
                   f"sketched fit of {n} sites on {m} centers")
     t0 = time.perf_counter()
     gtg, rhs = _normal_matrices(kernel, data, centers, ys)
-    kmm = _add_kmm(np.zeros((m, m)), kernel, centers, 1.0) if sweep else None
+    kmm = gram(kernel, centers) if sweep else None
     assembly = time.perf_counter() - t0
 
     def system(shift):
@@ -497,7 +466,7 @@ def fit_sketched_multi(kernel: KernelSpec, data: PointSet, label_sets,
             t0 = time.perf_counter()
             # factored over itself: a rejected or failed factorization
             # leaves no copy of the system behind
-            l_inv, bound = _inverse_bound(*_cholesky(system(shift)))
+            l_inv, bound = _inverse_factor(system(shift))
             v = l_inv.T if bound <= 1.0 / (CHOLESKY_MARGIN * m * np.finfo(float).eps) else None
             del l_inv   # a rejected inverse is freed here
             if v is not None:
@@ -580,11 +549,12 @@ def _scored_blocks(models: list[FittedModel], points: PointSet):
 
     Groups the models by kernel, in order of first appearance, and yields
     ``(rows, indices, values)`` for each test block and each kernel:
-    ``values[i]`` is model ``indices[i]``'s prediction on ``points[rows]``.
-    Each block's dot product with the shared centers is built once and
-    serves every kernel; each kernel's block is evaluated once and scores
-    its models in one GEMM.  A block has at most ``BLOCK_BYTES`` in any of
-    these arrays, so it stays in cache while every consumer reads it.
+    ``values[i]`` is model ``indices[i]``'s prediction on ``points[rows]``,
+    valid until the next step.  One workspace serves every step: a test
+    block's dot products with the shared centers, written once for every
+    kernel; one kernel's values over them; and its models' predictions, one
+    GEMM.  Each part is within ``BLOCK_BYTES``, so it stays in cache while
+    every consumer reads it.
     """
     if not models:
         raise ValueError("a sweep needs at least one model")
@@ -596,14 +566,19 @@ def _scored_blocks(models: list[FittedModel], points: PointSet):
         groups.setdefault(model.kernel, []).append(i)
     stacked = [(kernel, np.array(idx), np.array([models[i].coefficients for i in idx]))
                for kernel, idx in groups.items()]
-    xyz, cx = points.xyz, centers.xyz
-    widest = max(len(centers), *(len(idx) for idx in groups.values()))
-    for rows in _row_blocks(len(points), widest):
-        dot = xyz[rows] @ cx.T
+    xyz, cx, m = points.xyz, centers.xyz, len(centers)
+    most = max(len(idx) for idx in groups.values())
+    step = min(len(points), _block_rows(max(m, most)))
+    dots, kernel_values, predictions = np.split(np.empty(step * (2 * m + most)),
+                                                [step * m, 2 * step * m])
+    for rows in _row_blocks(len(points), max(m, most)):
+        n = min(step, len(points) - rows.start)
+        dot, block = dots[:n * m].reshape(n, m), kernel_values[:n * m].reshape(n, m)
+        np.matmul(xyz[rows], cx.T, out=dot)
         for kernel, idx, coef in stacked:
-            # The kernel block is freed before the values are handed out.
-            # Its transpose is a view: one dgemm, no copy.
-            yield rows, idx, coef @ zonal_value(kernel, dot).T
+            values = predictions[:len(idx) * n].reshape(-1, n)
+            # the transpose is a view: one dgemm, no copy
+            yield rows, idx, np.matmul(coef, zonal_value(kernel, dot, out=block).T, out=values)
 
 
 def predict(model: FittedModel, points: PointSet) -> np.ndarray:
@@ -616,7 +591,8 @@ def predict(model: FittedModel, points: PointSet) -> np.ndarray:
 
 def rmse_sweep(models: list[FittedModel], points: PointSet, labels) -> np.ndarray:
     """Root mean squared test error of each model, in ``models`` order, from
-    one pass over the test points and no (models x points) array.
+    one pass over the test points in one workspace (:func:`_scored_blocks`)
+    and no (models x points) array.
 
     The models must share one center set (the same object, as
     :func:`fit_sketched_multi` returns them); their kernels may differ.

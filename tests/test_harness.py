@@ -31,17 +31,18 @@ def toy_config(**overrides) -> ExperimentConfig:
 
 
 def spy_test_kernels(monkeypatch) -> list:
-    """Record each (kernel, dot) that sphfit.solver passes to zonal_value
-    while the harness scores its models (``harness.rmse_sweep``), so only
-    the test-grid evaluations are recorded.  The fits' streamed assembly
-    evaluates its blocks of Knm through the same name, outside the
-    scoring; Kmm comes from kernels.zonal_value directly."""
+    """Record each (kernel, copy of dot) that sphfit.solver passes to
+    zonal_value while the harness scores its models (``harness.rmse_sweep``),
+    so only the test-grid evaluations are recorded.  The scorer reuses one
+    dot-product buffer for every test block, so the dot products are
+    copied.  The fits' streamed assembly evaluates its blocks of Knm through
+    the same name, outside the scoring; Kmm comes from sphfit.kernels."""
     calls, scoring = [], []
     real_zonal, real_sweep = solver_mod.zonal_value, harness_mod.rmse_sweep
 
     def spy(spec, dot, out=None):
         if scoring:
-            calls.append((spec, dot))
+            calls.append((spec, np.array(dot)))
         return real_zonal(spec, dot, out=out)
 
     def scored(*args):
@@ -57,15 +58,15 @@ def spy_test_kernels(monkeypatch) -> list:
 
 
 def blocks_of(calls) -> list:
-    """[(dot, kernels it was passed with)] in call order, dot products
-    compared by identity.  Asserts that the calls with one dot product are
-    consecutive: a block's dot product is built once and never met again."""
+    """[(dot, kernels it was passed with)] in call order: a call starts a
+    new block unless its dot product is the previous call's, bit for bit.
+    Asserts that a block's dot product is never met again."""
     blocks = []
     for spec, dot in calls:
-        if blocks and blocks[-1][0] is dot:
+        if blocks and blocks[-1][0].tobytes() == dot.tobytes():
             blocks[-1][1].append(spec)
         else:
-            assert all(seen is not dot for seen, _ in blocks)
+            assert all(not np.array_equal(seen, dot) for seen, _ in blocks)
             blocks.append((dot, [spec]))
     return blocks
 

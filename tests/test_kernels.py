@@ -228,8 +228,9 @@ class TestMatrices:
 
     def test_gram_bitwise_symmetric(self, rng):
         # coordinates in C order, F order, and as row- and column-strided
-        # views; numpy's product of a column-strided 300 x 3 array with its
-        # transpose is not symmetric, so PointSet must store them C-ordered
+        # views: gram mirrors the lower triangle of its row blocks, so it is
+        # bitwise symmetric, and PointSet stores every layout C-ordered, so
+        # it is the same bits for each
         pts = random_unit_points(rng, 300)
         layouts = (pts, np.asfortranarray(pts), np.repeat(pts, 2, axis=0)[::2],
                    np.repeat(pts, 2, axis=1)[:, ::2])

@@ -336,6 +336,27 @@ class TestPredict:
             assert_rmses_within_bound(rmse_sweep(picked, probe, labels), full[order],
                                       picked, probe)
 
+    def test_rmse_sweep_reuses_one_kernel_buffer(self, design17, monkeypatch):
+        # four kernels on 3 full blocks of 150 test points and a ragged one
+        # of 50: each kernel's values on each block are written into the
+        # same buffer, never over the block's dot products
+        models = mixed_kernel_models(design17)
+        m = len(models[0].centers)
+        monkeypatch.setattr(points_mod, "BLOCK_BYTES", 8 * m * 150)
+        outs, real = [], solver_mod.zonal_value
+
+        def spy(spec, dot, out=None):
+            assert out is not None and not np.shares_memory(out, dot)
+            outs.append(out)
+            return real(spec, dot, out=out)
+
+        monkeypatch.setattr(solver_mod, "zonal_value", spy)
+        probe = PointSet(random_unit_points(np.random.default_rng(5), 500))
+        rmse_sweep(models, probe, smooth_values(probe))
+        assert [len(out) for out in outs] == [150] * 12 + [50] * 4
+        address = outs[0].__array_interface__["data"][0]
+        assert all(out.__array_interface__["data"][0] == address for out in outs)
+
     def test_rmse_sweep_peak_memory_is_one_block_plus_coefficients(self):
         # sim1's s* = 25 scoring step: 2 noise levels x 57 lambdas of the
         # Wendland kernel on the t = 25 design's 328 centers
@@ -462,9 +483,8 @@ class TestMultiFit:
 
     def test_rejected_lambdas_match_one_lambda_fits_past_one_block(self):
         # t = 27 centers (m = 380) on the t = 33 design: the assembly streams
-        # two row blocks, and Kmm is built from two row blocks, whose GEMMs
-        # round some entries apart from gram's symmetric product.  Every lam
-        # the whitening rejects (three by Cholesky, one by the
+        # two row blocks, and Kmm is two row blocks of GEMMs, mirrored.
+        # Every lam the whitening rejects (three by Cholesky, one by the
         # pseudo-inverse) is still solved as a one-lam fit solves it
         data, centers = load_design(33), load_design(27)
         kernel, y = KernelSpec.gaussian(0.3), smooth_values(data)
@@ -737,7 +757,7 @@ def spy_factorizations(monkeypatch):
 
 def cholesky_kappa(a):
     """The solver's bound kappa on cond_2(a) from its own factorization."""
-    return solver_mod._inverse_bound(*solver_mod._cholesky(a))[1]
+    return solver_mod._inverse_factor(a)[1]
 
 
 class TestCholeskyArm:
@@ -914,8 +934,7 @@ class TestCholeskyArm:
 
     def test_indefinite_matrix_is_not_factored(self):
         a = np.array([[1.0, 2.0], [2.0, 1.0]])
-        assert solver_mod._cholesky(a) == (None, np.inf)
-        assert solver_mod._inverse_bound(None, np.inf) == (None, np.inf)
+        assert solver_mod._inverse_factor(a) == (None, np.inf)
 
 
 def whole_knm_normal_matrices(kernel, data, centers, ys):
@@ -959,28 +978,35 @@ class TestStreamedAssembly:
 
     @pytest.mark.parametrize("degree", [t for t in available_degrees() if t >= 9])
     @pytest.mark.parametrize("kernel", KERNELS, ids=["gaussian", "wendland"])
-    def test_one_lambda_system_is_the_sweep_system(self, degree, kernel):
-        # A one-lam fit adds lam*N*Kmm into Knm^T Knm's storage row block by
-        # row block, and a sweep builds its Kmm from the same blocks, so the
-        # two systems are the same bits, both bitwise symmetric: a lam the
-        # whitening rejects is solved as a one-lam fit solves it.  Kmm is
-        # gram's bit for bit when it is one block (m <= 362); beyond, numpy's
-        # row-block GEMMs round some dot products apart from gram's
-        # symmetric product, by a few units in the last place
+    def test_one_lambda_system_is_the_sweep_system(self, degree, kernel, monkeypatch):
+        # A sweep's Kmm is gram's, and a one-lam fit adds lam*N*Kmm into
+        # Knm^T Knm's storage from the row blocks gram writes, so the two
+        # systems are the same bits, both bitwise symmetric: a lam the
+        # whitening rejects is solved as a one-lam fit solves it
         centers = load_design(degree)
         m = len(centers)
+        seen = []
+
+        class Whitened(Exception):
+            """Stops the sweep once its Kmm is seen."""
+
+        def whiten(gtg, kmm):
+            seen.append(kmm)
+            raise Whitened
+
+        monkeypatch.setattr(solver_mod, "_whiten", whiten)
+        data = load_design(3)
+        with pytest.raises(Whitened):
+            fit_sketched_multi(kernel, data, [np.ones(len(data))], centers, [1e-2, 1e-4])
+        kmm, = seen
+        assert kmm.tobytes() == gram(kernel, centers).tobytes()
         g = np.random.default_rng(degree).standard_normal((m, m))
         gtg = g + g.T
         shift = 2e-4 * 1656
-        kmm = solver_mod._add_kmm(np.zeros((m, m)), kernel, centers, 1.0)
         expect = solver_mod._system(gtg, kmm, shift)
         got = solver_mod._add_kmm(gtg.copy(), kernel, centers, shift)
         assert got.tobytes() == expect.tobytes()
         assert np.array_equal(got, got.T) and np.array_equal(kmm, kmm.T)
-        reference = gram(kernel, centers)
-        if len(list(points_mod._row_blocks(m, m))) == 1:
-            assert kmm.tobytes() == reference.tobytes()
-        assert np.all(np.abs(kmm - reference) <= 64 * np.finfo(float).eps)
 
     def test_one_lambda_peak_does_not_grow_with_n(self):
         # m = 328 centers on 4 m and on 32 m spiral sites: Knm (N m doubles)
