@@ -6,11 +6,11 @@ so every evaluation goes through the dot product (clamped to [-1, 1]) and
 cancellation near coincident points.
 
 :func:`_check_budget` is the one check of ``DEFAULT_MEMORY_BUDGET``: kernel
-matrices, the harmonic sums and the working set of each fit pass it the
-bytes they are about to allocate.  :func:`cross_matrix` evaluates the kernel
-into its dot-product matrix one row block at a time, so it holds the output
-plus one block's temporaries.  Every symmetric kernel matrix is built from
-the row blocks of :func:`_kernel_rows` and mirrored by :func:`_mirror_lower`.
+matrices, the harmonic sums, generated point sets and the working set of
+each fit pass it the bytes they are about to allocate.  :func:`_kernel_rows`
+builds every block of a kernel matrix that the fits and :func:`cross_matrix`
+use; only the scorer (``solver._scored_blocks``), which evaluates several
+kernels on one block of dot products, forms its dot products itself.
 """
 
 from __future__ import annotations
@@ -137,21 +137,6 @@ def _check_budget(nbytes: int, what: str):
             f"budget is {DEFAULT_MEMORY_BUDGET / 2**30:.2f} GiB")
 
 
-def cross_matrix(spec: KernelSpec, rows: PointSet, cols: PointSet) -> np.ndarray:
-    """Dense |rows| x |cols| kernel matrix between two point sets.
-
-    The dot products come from one product of the coordinate arrays, which
-    :func:`zonal_value` then overwrites one row block (``_row_blocks``) at
-    a time: the peak is the output plus one block's temporaries, and each
-    entry is bitwise ``zonal_value`` of its dot product.
-    """
-    _check_budget(8 * len(rows) * len(cols), f"{len(rows)} x {len(cols)} kernel matrix")
-    out = rows.xyz @ cols.xyz.T
-    for block in _row_blocks(len(rows), len(cols)):
-        out[block] = zonal_value(spec, out[block])
-    return out
-
-
 def _kernel_rows(spec: KernelSpec, points: PointSet, centers: PointSet, rows, out) -> np.ndarray:
     """Kernel values of ``points[rows]`` against ``centers``, returned in
     ``out`` (C-ordered): the dot products' GEMM, then zonal_value in place."""
@@ -159,25 +144,33 @@ def _kernel_rows(spec: KernelSpec, points: PointSet, centers: PointSet, rows, ou
     return zonal_value(spec, out, out=out)
 
 
-def _mirror_lower(a: np.ndarray) -> None:
+def cross_matrix(spec: KernelSpec, rows: PointSet, cols: PointSet) -> np.ndarray:
+    """Dense |rows| x |cols| kernel matrix between two point sets, written one
+    row block (``_row_blocks``) at a time by :func:`_kernel_rows`: the peak
+    is the output plus one block's temporaries, and each block is bitwise
+    the kernel of its own dot-product GEMM."""
+    _check_budget(8 * len(rows) * len(cols), f"{len(rows)} x {len(cols)} kernel matrix")
+    out = np.empty((len(rows), len(cols)))
+    for block in _row_blocks(len(rows), len(cols)):
+        _kernel_rows(spec, rows, cols, block, out[block])
+    return out
+
+
+def _mirror_lower(a: np.ndarray) -> np.ndarray:
     """Copy the lower triangle of ``a`` over its upper triangle, so that
-    ``a == a.T`` bitwise, a strip of 64 rows at a time: no temporary is
-    larger than one strip."""
+    ``a == a.T`` bitwise, a strip of 64 rows at a time, and return ``a``:
+    no temporary is larger than one strip."""
     m = len(a)
     for j in range(0, m, 64):
         end = min(j + 64, m)
         a[j:end, end:] = a[end:, j:end].T
         diagonal, upper = a[j:end, j:end], np.triu_indices(end - j, 1)
         diagonal[upper] = diagonal.T[upper]
+    return a
 
 
 def gram(spec: KernelSpec, point_set: PointSet) -> np.ndarray:
-    """Kernel matrix of a set against itself, ``K == K.T`` bitwise: its row
-    blocks (:func:`_kernel_rows`), mirrored.  Peak: K and one block's temporaries."""
-    n = len(point_set)
-    _check_budget(8 * n * n, f"{n} x {n} kernel matrix")
-    out = np.empty((n, n))
-    for rows in _row_blocks(n, n):
-        _kernel_rows(spec, point_set, point_set, rows, out[rows])
-    _mirror_lower(out)
-    return out
+    """Kernel matrix of a set against itself, ``K == K.T`` bitwise: its
+    :func:`cross_matrix` with the lower triangle mirrored.  Peak: K and one
+    block's temporaries."""
+    return _mirror_lower(cross_matrix(spec, point_set, point_set))

@@ -25,6 +25,11 @@ LOAD_NORM_TOL = 1e-6      # acceptable norm deviation in point files
 # pages that the OS must fault in again; the memory cap follows from that.
 BLOCK_BYTES = 1 << 20
 
+# Peak bytes per point of generate_spiral and eq_area_centers, checked against
+# the memory budget before they allocate (tracemalloc, n = 10^4 to 4 * 10^5).
+SPIRAL_BYTES_PER_POINT = 161
+EQ_AREA_BYTES_PER_POINT = 185
+
 
 class PointFileError(ValueError):
     """Raised for a missing, malformed or out-of-tolerance sphfit data file:
@@ -200,6 +205,8 @@ def generate_spiral(n: int) -> PointSet:
     """
     if n < 2:
         raise ValueError("spiral needs n >= 2")
+    from .kernels import _check_budget      # kernels imports this module
+    _check_budget(SPIRAL_BYTES_PER_POINT * n, f"spiral of {n} points")
     h = -1.0 + 2.0 * np.arange(n) / (n - 1)
     theta = np.arccos(np.clip(h, -1.0, 1.0))
     steps = 3.6 / np.sqrt(n * (1.0 - h[1:-1] * h[1:-1]))
@@ -291,6 +298,8 @@ def eq_area_centers(n: int) -> PointSet:
     Cap regions are centered on the poles; each collar cell is centered at
     the midpoint of its colatitude span and azimuth interval.
     """
+    from .kernels import _check_budget      # kernels imports this module
+    _check_budget(EQ_AREA_BYTES_PER_POINT * n, f"equal-area centers of {n} regions")
     part = eq_area_partition(n)
     pts = [(0.0, 0.0, 1.0)]
     if n > 1:

@@ -93,7 +93,8 @@ WHITENED_COND_LIMIT = 1e8
 CHOLESKY_MARGIN = 100
 
 # Largest triangular block that is LU-factored: _lower_inverse hands its
-# diagonal blocks to np.linalg.inv, _upper_solve its leaves to np.linalg.solve.
+# diagonal blocks to np.linalg.inv, _upper_solve_in_place its leaves to
+# np.linalg.solve.
 TRI_INV_LEAF = 256
 
 
@@ -145,13 +146,6 @@ def _kept_eigenpairs(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarr
     threshold = len(w) * np.finfo(float).eps * max(float(w[-1]), 0.0)
     keep = w > threshold
     return w[keep], v[:, keep]
-
-
-def _upper_solve(u: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """X with ``U X = B`` for a nonsingular upper-triangular U, which has exact
-    zeros below the diagonal, and a vector or matrix B, in a new array
-    (:func:`_upper_solve_in_place` on a copy of B)."""
-    return _upper_solve_in_place(u, b.copy())
 
 
 def _upper_solve_in_place(u: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -324,8 +318,7 @@ def _add_kmm(a: np.ndarray, kernel: KernelSpec, centers: PointSet, shift: float)
         block = _kernel_rows(kernel, centers, centers, rows, buffer[:m - rows.start])
         block *= shift
         a[rows] += block
-    _mirror_lower(a)
-    return a
+    return _mirror_lower(a)
 
 
 def _assembly_blocks(n: int, m: int) -> tuple[int, int]:
@@ -352,10 +345,9 @@ def _normal_matrices(kernel: KernelSpec, data: PointSet, centers: PointSet, ys):
     """``(Knm^T Knm, [Knm^T y for y in ys])``, streamed from row blocks of
     ``Knm``, which is never whole.
 
-    One workspace is allocated (:func:`_assembly_blocks`).  Each row
-    block's dot products with the centers are written into its first part,
-    and their kernel values over them (:func:`zonal_value`); each
-    ``Knm^T y`` adds one GEMV per block.  The lower triangle of
+    One workspace is allocated (:func:`_assembly_blocks`).  Each row block
+    of ``Knm`` is written into its first part (:func:`_kernel_rows`), and
+    each ``Knm^T y`` adds one GEMV per block.  The lower triangle of
     ``Knm^T Knm`` adds, for each column panel, the block's product of the
     panel's columns with every column at or past it: numpy has no
     ``C += A^T B``, so the product lands in the rest of the workspace and
@@ -363,16 +355,14 @@ def _normal_matrices(kernel: KernelSpec, data: PointSet, centers: PointSet, ys):
     result is bitwise symmetric.  With one block and one panel the product
     is numpy's ``Knm.T @ Knm`` (a symmetric rank-k update), bit for bit.
     """
-    xyz, cx = data.xyz, centers.xyz
-    n, m = len(xyz), len(cx)
+    n, m = len(data), len(centers)
     rows, width = _assembly_blocks(n, m)
     work = np.empty(rows * m + m * width)
     blocks, products = work[:rows * m], work[rows * m:]
     gtg, rhs = np.zeros((m, m)), [np.zeros(m) for _ in ys]
     for lo in range(0, n, rows):
         block = blocks[:min(rows, n - lo) * m].reshape(-1, m)
-        np.matmul(xyz[lo:lo + rows], cx.T, out=block)
-        zonal_value(kernel, block, out=block)
+        _kernel_rows(kernel, data, centers, slice(lo, lo + rows), block)
         for b, y in zip(rhs, ys):
             b += block.T @ y[lo:lo + rows]
         for j in range(0, m, width):
@@ -380,8 +370,7 @@ def _normal_matrices(kernel: KernelSpec, data: PointSet, centers: PointSet, ys):
             product = products[:(m - j) * (cols.stop - j)].reshape(m - j, -1)
             np.matmul(block[:, j:].T, block[:, cols], out=product)
             gtg[j:, cols] += product
-    _mirror_lower(gtg)
-    return gtg, rhs
+    return _mirror_lower(gtg), rhs
 
 
 def _check_values(values, n: int) -> np.ndarray:
@@ -502,13 +491,13 @@ def fit_full(kernel: KernelSpec, data: PointSet, values, lam: float) -> FittedMo
     approach it.  A Cholesky factorization ``L L^T``, written over the
     shifted matrix (:func:`_cholesky_in_place`), certifies that it is
     numerically positive definite, and two substitutions with that factor,
-    ``alpha = L^-T (L^-1 y)`` (:func:`_upper_solve`), give the coefficients
-    (method ``"cholesky"``, rank N): the system is factored once.  If the
-    factorization fails, the shifted matrix is numerically indefinite: it is
-    built again, with the same bits, and solved by the pseudo-inverse, which
-    the diagnostics record.  The working set of the fallback (module
-    docstring) is checked against the memory budget before anything is
-    allocated.
+    ``alpha = L^-T (L^-1 y)`` (:func:`_upper_solve_in_place`, on copies of
+    y and of z), give the coefficients (method ``"cholesky"``, rank N): the
+    system is factored once.  If the factorization fails, the shifted
+    matrix is numerically indefinite: it is built again, with the same
+    bits, and solved by the pseudo-inverse, which the diagnostics record.
+    The working set of the fallback (module docstring) is checked against
+    the memory budget before anything is allocated.
     """
     y = _check_values(values, len(data))
     lam = float(lam)
@@ -537,8 +526,8 @@ def fit_full(kernel: KernelSpec, data: PointSet, values, lam: float) -> FittedMo
         method, rank = "eig-pinv", len(w)
     else:
         # L z = y is the upper-triangular system of L reversed
-        z = _upper_solve(l[::-1, ::-1], y[::-1])[::-1]
-        coef = _upper_solve(l.T, z)
+        z = _upper_solve_in_place(l[::-1, ::-1], y[::-1].copy())[::-1]
+        coef = _upper_solve_in_place(l.T, z.copy())
         method, rank = "cholesky", n
     diag = SolveDiagnostics(method, rank, time.perf_counter() - t0)
     return FittedModel(kernel, data, coef, lam, n, diag)
@@ -552,8 +541,8 @@ def _scored_blocks(models: list[FittedModel], points: PointSet):
     ``values[i]`` is model ``indices[i]``'s prediction on ``points[rows]``,
     valid until the next step.  One workspace serves every step: a test
     block's dot products with the shared centers, written once for every
-    kernel; one kernel's values over them; and its models' predictions, one
-    GEMM.  Each part is within ``BLOCK_BYTES``, so it stays in cache while
+    kernel (so not by ``_kernel_rows``, which serves one kernel); one
+    kernel's values over them; and its models' predictions, one GEMM.  Each part is within ``BLOCK_BYTES``, so it stays in cache while
     every consumer reads it.
     """
     if not models:

@@ -159,6 +159,16 @@ def test_memory_error_exits_4(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "s.txt").exists()
 
 
+def test_gen_points_beyond_budget_exits_4(tmp_path, capsys):
+    # refused by the memory budget before any coordinate is allocated: the
+    # message is the budget's, not numpy's
+    rc = main(["gen-points", "--kind", "spiral", "--n", "100000000000",
+               "--out", str(tmp_path / "s.txt")])
+    assert rc == 4
+    assert capsys.readouterr().err.startswith("error: spiral of 100000000000 points needs")
+    assert not (tmp_path / "s.txt").exists()
+
+
 class TestGenData:
     def test_writes_dataset(self, tmp_path):
         out = tmp_path / "d.csv"

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from sphfit import kernels
 from sphfit.kernels import (KernelSpec, MatrixSizeError, cross_matrix, gram,
                             zonal_value)
-from sphfit.designs import load_design
-from sphfit.points import PointSet, generate_spiral
+from sphfit.designs import available_degrees, load_design
+from sphfit.points import PointSet, _row_blocks, generate_spiral
 import sphfit.points as points_mod
 
 from conftest import random_unit_points, traced_peak, wendland_psi
@@ -247,11 +247,13 @@ class TestMatrices:
     @pytest.mark.parametrize("spec", [KernelSpec.gaussian(0.5), KernelSpec.wendland()])
     def test_blockwise_assembly_bitwise_matches_whole_matrix_oracle(self, rng, spec,
                                                                     block_bytes, monkeypatch):
+        # each row block is the kernel of its own dot-product GEMM
         rows, cols = (PointSet(random_unit_points(rng, n)) for n in (41, 25))
         if block_bytes is not None:
             monkeypatch.setattr(points_mod, "BLOCK_BYTES", block_bytes)
         for a, b in ((rows, cols), (rows, rows)):
-            expect = zonal_value(spec, a.xyz @ b.xyz.T)
+            expect = np.vstack([zonal_value(spec, a.xyz[r] @ b.xyz.T)
+                                for r in _row_blocks(len(a), len(b))])
             assert cross_matrix(spec, a, b).tobytes() == expect.tobytes()
         g = gram(spec, rows)
         assert g.tobytes() == g.T.copy().tobytes()
@@ -265,6 +267,17 @@ class TestMatrices:
                      lambda: gram(spec, load_design(41))):
             out_bytes = make().nbytes
             assert traced_peak(make) <= out_bytes + 2 * points_mod.BLOCK_BYTES + 2**21
+
+    @pytest.mark.parametrize("degree", available_degrees())
+    def test_gram_is_mirrored_cross_matrix(self, degree):
+        # gram is cross_matrix(p, p) with its lower triangle mirrored, bit
+        # for bit, also where the matrix spans several row blocks
+        p = load_design(degree)
+        for spec in (KernelSpec.gaussian(0.7), KernelSpec.wendland()):
+            expect = cross_matrix(spec, p, p)
+            upper = np.triu_indices(len(p), 1)
+            expect[upper] = expect.T[upper]
+            assert gram(spec, p).tobytes() == expect.tobytes()
 
     def test_gram_matches_cross_matrix(self, rng):
         pts = PointSet(random_unit_points(rng, 31))

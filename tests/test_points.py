@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sphfit.kernels as kernels_mod
 import sphfit.points as points_mod
 from sphfit.designs import load_design
+from sphfit.kernels import MatrixSizeError
 from sphfit.points import (EqPartition, PointFileError, PointSet,
                            eq_area_centers, eq_area_partition,
                            generate_spiral, load_point_file, mesh_norm,
                            save_point_file, separation_radius)
 
-from conftest import random_unit_points
+from conftest import random_unit_points, traced_peak
 
 
 def region_of(part: EqPartition, xyz: np.ndarray) -> np.ndarray:
@@ -165,6 +167,30 @@ class TestSpiral:
         xyz[-1] = (0.0, 0.0, 1.0)
         expect = xyz / np.linalg.norm(xyz, axis=1, keepdims=True)
         assert generate_spiral(n).xyz.tobytes() == expect.tobytes()
+
+
+class TestGeneratorBudget:
+    """Generated point sets are sized from outside the program (``--n``,
+    ``n_points``, ``grid_n``), so they are checked against the memory budget."""
+
+    @pytest.mark.parametrize("make, what", [
+        (generate_spiral, "spiral of 10000 points"),
+        (eq_area_centers, "equal-area centers of 10000 regions")])
+    def test_refused_before_allocating(self, make, what, monkeypatch):
+        monkeypatch.setattr(kernels_mod, "DEFAULT_MEMORY_BUDGET", 2**20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MatrixSizeError, match=what):
+                make(10_000)
+            assert tracemalloc.get_traced_memory()[1] < 2**16
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("make, per_point", [(generate_spiral, "SPIRAL_BYTES_PER_POINT"),
+                                                 (eq_area_centers, "EQ_AREA_BYTES_PER_POINT")])
+    def test_peak_within_bytes_per_point(self, make, per_point):
+        n = 100_000
+        assert traced_peak(lambda: make(n)) <= getattr(points_mod, per_point) * n
 
 
 class TestEqArea:

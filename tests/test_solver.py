@@ -16,6 +16,7 @@ from sphfit.harness import GridSpec
 from sphfit.kernels import KernelSpec, MatrixSizeError, cross_matrix, gram, zonal_value
 from sphfit.points import PointSet, generate_spiral
 import sphfit
+import sphfit.kernels as kernels_mod
 import sphfit.points as points_mod
 import sphfit.solver as solver_mod
 from sphfit.solver import (CHOLESKY_MARGIN, WHITENED_COND_LIMIT, FittedModel,
@@ -539,16 +540,15 @@ class TestMultiFit:
 
     def test_sweep_charges_whole_assembly_to_every_model(self, design13, monkeypatch):
         # wall_time is the cost of one single-lam fit: the shared assembly is
-        # not split between the label sets or the lams.  The assembly's
-        # kernel evaluation is slowed: the sweep's other kernel values
-        # (Kmm) come from sphfit.kernels and do not pass through it
-        real = solver_mod.zonal_value
+        # not split between the label sets or the lams.  Every kernel block
+        # of the assembly (Knm and Kmm) is slowed
+        real = kernels_mod.zonal_value
 
         def slow_zonal_value(*args, **kwargs):
             time.sleep(0.05)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(solver_mod, "zonal_value", slow_zonal_value)
+        monkeypatch.setattr(kernels_mod, "zonal_value", slow_zonal_value)
         y = smooth_values(design13)
         sweeps = fit_sketched_multi(KernelSpec.wendland(), design13, [y, 2.0 * y, -y],
                                     design13, [1e-2, 1e-4])
@@ -837,7 +837,7 @@ class TestCholeskyArm:
         t = l.T if shape == "upper" else l[::-1, ::-1]
         rng = np.random.default_rng(n)
         b = rng.standard_normal(n if rhs == "vector" else (n, 5))
-        x = solver_mod._upper_solve(t, b)
+        x = solver_mod._upper_solve_in_place(t, b.copy())
         assert x.shape == b.shape
         assert x.tobytes() == upper_solve_oracle(t, b).tobytes()
         resid = np.abs(t @ x - b)
