@@ -34,10 +34,7 @@ EXIT_NUMERIC = 4
 
 
 def _cmd_gen_points(args) -> int:
-    if args.kind == "spiral":
-        ps = generate_spiral(args.n)
-    else:
-        ps = eq_area_centers(args.n)
+    ps = (generate_spiral if args.kind == "spiral" else eq_area_centers)(args.n)
     save_point_file(args.out, ps, header=f"{args.kind} points, n={args.n}")
     print(f"wrote {len(ps)} points to {args.out}")
     return EXIT_OK

@@ -2,7 +2,8 @@
 
 Two standard test functions drive all experiments: a four-term exponential
 bump mixture (``f1``, the Franke function adapted to ambient sphere
-coordinates) and a sum of 20 compactly supported Wendland bumps (``f2``).
+coordinates) and a sum of 20 compactly supported Wendland bumps (``f2``),
+a fixed kernel expansion that the model scorer (``solver.predict``) evaluates.
 Labels are target values plus zero-mean truncated Gaussian noise.
 
 PRNG contract: noise streams come from ``numpy.random.Generator`` seeded
@@ -20,11 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, zonal_value
+from .kernels import KernelSpec
 from .points import PointSet, _data_lines, _read_rows, _unit_points, _write_rows, eq_area_centers
-# predict is not called here, but sphfit.data.predict stays bound: the
-# benchmark's tracer (perfbench/tracing.py) wraps it in every module.
-from .solver import FittedModel, predict, rmse_sweep  # noqa: F401
+from .solver import FittedModel, predict, rmse_sweep
 
 NOISE_BOUND = 10.0
 N_F2_CENTERS = 20
@@ -52,11 +51,18 @@ def default_f2_centers() -> PointSet:
     return eq_area_centers(N_F2_CENTERS)
 
 
+@functools.cache
+def _f2_model() -> FittedModel:
+    """f2 as the Wendland expansion it is: unit coefficients on the bump centers."""
+    return FittedModel(KernelSpec.wendland(), default_f2_centers(), np.ones(N_F2_CENTERS),
+                       0.0, N_F2_CENTERS, None)
+
+
 def wendland_target_f2(xyz) -> np.ndarray:
-    """Sum of Wendland bumps: f2(x) = sum_i psi((2 - 2 x.z_i)^(1/2)) over the
-    bump centers z_i of :func:`default_f2_centers`."""
+    """f2(x) = sum_i psi((2 - 2 x.z_i)^(1/2)) over the z_i of :func:`default_f2_centers`
+    at unit vectors ``(..., 3)``: ``predict`` of the unit-coefficient :func:`_f2_model`."""
     p = np.asarray(xyz, dtype=float)
-    return zonal_value(KernelSpec.wendland(), p @ default_f2_centers().xyz.T).sum(axis=-1)
+    return predict(_f2_model(), PointSet(p.reshape(-1, 3))).reshape(p.shape[:-1])
 
 
 @dataclass(frozen=True)
@@ -76,9 +82,7 @@ class TargetFunction:
 
     def __call__(self, points) -> np.ndarray:
         xyz = points.xyz if isinstance(points, PointSet) else points
-        if self.name == "f1":
-            return franke_f1(xyz)
-        return wendland_target_f2(xyz)
+        return (franke_f1 if self.name == "f1" else wendland_target_f2)(xyz)
 
     @classmethod
     def by_name(cls, name: str) -> "TargetFunction":
@@ -108,8 +112,7 @@ def sample_truncated_gaussian(noise: NoiseModel, count: int) -> np.ndarray:
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(noise.seed)
-    eps = noise.delta * rng.standard_normal(count)
-    return np.clip(eps, -NOISE_BOUND, NOISE_BOUND)
+    return np.clip(noise.delta * rng.standard_normal(count), -NOISE_BOUND, NOISE_BOUND)
 
 
 @dataclass(frozen=True)
@@ -153,7 +156,7 @@ def save_dataset(path, dataset: Dataset) -> None:
     head = [f"# target {dataset.target.name}", f"# delta {dataset.noise.delta:.17g}",
             f"# seed {dataset.noise.seed}", DATASET_HEADER]
     table = np.column_stack([dataset.inputs.xyz, dataset.labels])
-    _write_rows(path, head, table.tolist(), ",")
+    _write_rows(path, head, map(np.ndarray.tolist, table), ",")
 
 
 def load_dataset(path) -> tuple[PointSet, np.ndarray]:

@@ -500,9 +500,9 @@ def write_seed_detail_csv(path, detail: list[tuple[int, ResultRow]],
 
 def write_field_csv(path, export: FieldExport) -> None:
     """Dense-grid field export: coordinates plus the four value columns."""
-    table = np.column_stack([export.points.xyz, export.exact, export.noisy,
-                             export.prediction, export.abs_error])
-    _write_rows(path, ["x,y,z,exact,noisy,prediction,abs_error"], table.tolist(), ",")
+    rows = map(np.ndarray.tolist, np.column_stack([export.points.xyz, export.exact, export.noisy,
+                                                   export.prediction, export.abs_error]))
+    _write_rows(path, ["x,y,z,exact,noisy,prediction,abs_error"], rows, ",")
 
 
 _nonneg = _number(float, 0)

@@ -9,8 +9,8 @@ cancellation near coincident points.
 matrices, the harmonic sums, generated point sets and the working set of
 each fit pass it the bytes they are about to allocate.  :func:`_kernel_rows`
 builds every block of a kernel matrix that the fits and :func:`cross_matrix`
-use; only the scorer (``solver._scored_blocks``), which evaluates several
-kernels on one block of dot products, forms its dot products itself.
+use; only the scorer (``solver._scored_blocks``) of every model and of f2,
+which evaluates several kernels on one block, forms its dot products itself.
 """
 
 from __future__ import annotations

@@ -62,6 +62,7 @@ Scoring holds one workspace of three ``BLOCK_BYTES`` (:func:`_scored_blocks`).
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -114,7 +115,7 @@ class FittedModel:
     coefficients: np.ndarray    # shape (m,)
     lam: float
     training_size: int
-    diagnostics: SolveDiagnostics | None    # None for a model read from a file
+    diagnostics: SolveDiagnostics | None    # None unless a solver fitted it (a loaded model, f2)
 
     def __post_init__(self):
         coef = np.asarray(self.coefficients, dtype=float)
@@ -616,8 +617,8 @@ def save_model(path, model: FittedModel) -> None:
     centers = model.centers
     degree = "-" if centers.design_degree is None else centers.design_degree
     values = (model.kernel.describe(), model.lam, model.training_size, degree, len(centers))
-    table = np.column_stack([centers.xyz, model.coefficients])
-    _write_rows(path, [MODEL_MAGIC], [*zip(MODEL_HEADER, values), *table.tolist()])
+    rows = map(np.ndarray.tolist, np.column_stack([centers.xyz, model.coefficients]))
+    _write_rows(path, [MODEL_MAGIC], itertools.chain(zip(MODEL_HEADER, values), rows))
 
 
 def load_model(path) -> FittedModel:

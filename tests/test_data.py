@@ -7,11 +7,19 @@ from sphfit.data import (Dataset, NoiseModel, TargetFunction,
                          default_f2_centers, franke_f1, load_dataset,
                          make_dataset, rmse, sample_truncated_gaussian,
                          save_dataset, wendland_target_f2)
-from sphfit.kernels import KernelSpec
+from sphfit.designs import available_degrees, load_design
+from sphfit.kernels import KernelSpec, zonal_value
 from sphfit.points import PointSet, generate_spiral
 from sphfit.solver import fit_sketched
 
-from conftest import random_unit_points, wendland_psi
+from conftest import random_unit_points, traced_peak, wendland_psi
+
+
+def whole_product_f2(xyz) -> np.ndarray:
+    """f2 as one (points x 20) kernel product summed by numpy: the formula
+    the target used before the model scorer evaluated it."""
+    p = np.asarray(xyz, dtype=float)
+    return zonal_value(KernelSpec.wendland(), p @ default_f2_centers().xyz.T).sum(axis=-1)
 
 
 def franke_scalar(x, y, z, exp=math.exp):
@@ -94,6 +102,37 @@ class TestWendlandTarget:
         centers = default_f2_centers()
         vals = wendland_target_f2(centers.xyz)
         assert np.all(vals >= 1.0 - 1e-12)
+
+    @pytest.mark.parametrize("points", [f"design {t}" for t in available_degrees()]
+                             + ["spiral 10000"])
+    def test_scorer_matches_whole_product(self, points):
+        # the bumps are non-negative, so a reordered sum of 20 of them moves
+        # by at most 20 eps relative
+        kind, size = points.split()
+        xyz = (load_design(int(size)) if kind == "design" else generate_spiral(int(size))).xyz
+        want = whole_product_f2(xyz)
+        assert np.all(np.abs(wendland_target_f2(xyz) - want) <= 20 * np.finfo(float).eps * want)
+
+    def test_single_point_and_batch_shapes(self, rng):
+        pts = random_unit_points(rng, 24)
+        one = wendland_target_f2(pts[3])
+        assert one.shape == () and one == pytest.approx(whole_product_f2(pts[3]), rel=1e-14)
+        batch = wendland_target_f2(pts.reshape(2, 4, 3, 3))
+        assert batch.shape == (2, 4, 3)
+        assert np.array_equal(batch.ravel(), wendland_target_f2(pts))
+
+    def test_callers_array_stays_writeable(self, rng):
+        pts = random_unit_points(rng, 10)
+        wendland_target_f2(pts)
+        TargetFunction("f2")(pts)
+        assert pts.flags.writeable
+
+    def test_labels_peak_within_48_bytes_per_point(self):
+        # one scorer block at a time: the whole (points x 20) product held
+        # 460 bytes per point
+        n = 100_000
+        points = generate_spiral(n)
+        assert traced_peak(lambda: TargetFunction("f2")(points)) <= 48 * n
 
     def test_exactly_representable_by_kernel(self, design13):
         # f2 IS a Wendland expansion: unit coefficients at the bump centers

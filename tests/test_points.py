@@ -113,6 +113,23 @@ class TestLoadSave:
         ps = load_point_file(f)
         assert abs(np.linalg.norm(ps.xyz[0]) - 1.0) <= 1e-12
 
+    def test_save_writes_line_by_line(self, tmp_path):
+        # the whole file's text, joined before it was written, took 339
+        # bytes per point
+        points = generate_spiral(100_000)
+        path = tmp_path / "spiral.txt"
+        assert traced_peak(lambda: save_point_file(path, points, header="spiral")) < 2**20
+        assert np.array_equal(load_point_file(path).xyz, points.xyz)
+
+    def test_save_truncates_in_place(self, tmp_path):
+        path = tmp_path / "pts.txt"
+        path.write_text("stale\n" * 1000, encoding="utf-8")
+        link = tmp_path / "link.txt"
+        link.symlink_to(path)
+        save_point_file(link, PointSet(np.array([[0.0, 0.0, 1.0]])))
+        assert link.is_symlink()
+        assert path.read_text(encoding="utf-8") == "0 0 1\n"
+
     def test_empty_file(self, tmp_path):
         f = tmp_path / "empty.txt"
         f.write_text("# nothing\n")
@@ -150,7 +167,7 @@ class TestSpiral:
         with pytest.raises(ValueError):
             generate_spiral(1)
 
-    @pytest.mark.parametrize("n", [2, 3, 10, 2000, 10000, 40000])
+    @pytest.mark.parametrize("n", [2, 3, 10, 1000, 2000, 10000, 40000, 100003])
     def test_matches_loop_oracle_bitwise(self, n):
         # the azimuths as one Python loop computed them, step and all, with
         # the rest of the construction unchanged
