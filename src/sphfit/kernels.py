@@ -8,9 +8,10 @@ cancellation near coincident points.
 :func:`_check_budget` is the one check of ``DEFAULT_MEMORY_BUDGET``: kernel
 matrices, the harmonic sums, generated point sets and the working set of
 each fit pass it the bytes they are about to allocate.  :func:`_kernel_rows`
-builds every block of a kernel matrix that the fits and :func:`cross_matrix`
-use; only the scorer (``solver._scored_blocks``) of every model and of f2,
-which evaluates several kernels on one block, forms its dot products itself.
+builds every kernel block the fits use; :func:`_add_kernel` adds them into
+:func:`cross_matrix` and a one-lambda system.  Only the scorer of every model
+and of f2 (``solver._scored_blocks``), which evaluates several kernels on one
+block, forms its dot products itself.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .points import PointSet, _row_blocks
+from .points import PointSet, _block_rows, _row_blocks
 
 DEFAULT_MEMORY_BUDGET = 2 << 30     # bytes; guards accidental |D|^2 allocations
 
@@ -102,10 +103,10 @@ def zonal_value(spec: KernelSpec, dot, out=None) -> np.ndarray:
     of the shape of ``dot`` that may be ``dot`` itself; otherwise makes
     one output array and never writes into ``dot``.  The Gaussian value is
     ``exp(-(1 - d) / sigma^2)`` with ``d`` the clamped dot.  The Wendland
-    value is zero wherever ``dot <= 1/2`` (chordal distance >= 1, outside
-    the support), and the profile is evaluated only on the other entries.
-    A NaN dot gives NaN for both kernels.  A scalar or 0-d ``dot`` gives a
-    numpy scalar.  Each value is the same bits with or without ``out``.
+    value is zero wherever ``dot <= 1/2`` (chordal distance >= 1, outside the
+    support), and the profile is evaluated on the others, gathered by one flat
+    index.  A NaN dot gives NaN for both kernels.  A scalar or 0-d ``dot``
+    gives a numpy scalar.  Each value is the same bits with or without ``out``.
     """
     dot = np.asarray(dot, dtype=float)
     if spec.kind == "gaussian":
@@ -114,8 +115,8 @@ def zonal_value(spec: KernelSpec, dot, out=None) -> np.ndarray:
         np.divide(out, spec.sigma**2, out=out)   # ||a-b||^2 = 2 - 2 a.b
         np.exp(out, out=out)
     else:
-        mask = ~(dot <= 0.5)                # the support, and NaN stays NaN
-        u = dot[mask]                       # a copy, taken before out is zeroed
+        support = np.flatnonzero(~(dot <= 0.5))     # in C order; NaN stays NaN
+        u = dot.take(support)               # a copy, taken before out is zeroed
         np.minimum(u, 1.0, out=u)
         u *= -2.0
         u += 2.0
@@ -124,7 +125,8 @@ def zonal_value(spec: KernelSpec, dot, out=None) -> np.ndarray:
             out = np.zeros(dot.shape)
         else:
             out.fill(0.0)
-        out[mask] = _wendland_profile(u)
+        # reshape(-1) is a view only of a C-contiguous out: of others, a copy losing the scatter
+        (out.reshape(-1) if out.flags.c_contiguous else out.flat)[support] = _wendland_profile(u)
     return out if out.ndim else out[()]
 
 
@@ -144,16 +146,24 @@ def _kernel_rows(spec: KernelSpec, points: PointSet, centers: PointSet, rows, ou
     return zonal_value(spec, out, out=out)
 
 
-def cross_matrix(spec: KernelSpec, rows: PointSet, cols: PointSet) -> np.ndarray:
-    """Dense |rows| x |cols| kernel matrix between two point sets, written one
-    row block (``_row_blocks``) at a time by :func:`_kernel_rows`: the peak
-    is the output plus one block's temporaries, and each block is bitwise
-    the kernel of its own dot-product GEMM."""
-    _check_budget(8 * len(rows) * len(cols), f"{len(rows)} x {len(cols)} kernel matrix")
-    out = np.empty((len(rows), len(cols)))
+def _add_kernel(a: np.ndarray, spec: KernelSpec, rows: PointSet, cols: PointSet, shift: float):
+    """``a += shift * K(rows, cols)``, returning ``a``: each row block (``_row_blocks``)
+    is written into one buffer of at most ``BLOCK_BYTES`` (:func:`_kernel_rows`),
+    scaled and added, so K is never whole."""
+    buffer = np.empty((min(len(rows), _block_rows(len(cols))), len(cols)))
     for block in _row_blocks(len(rows), len(cols)):
-        _kernel_rows(spec, rows, cols, block, out[block])
-    return out
+        values = _kernel_rows(spec, rows, cols, block, buffer[:len(rows) - block.start])
+        values *= shift
+        a[block] += values
+    return a
+
+
+def cross_matrix(spec: KernelSpec, rows: PointSet, cols: PointSet) -> np.ndarray:
+    """Dense |rows| x |cols| kernel matrix between two point sets, its row blocks
+    added into zeros (:func:`_add_kernel`): bitwise each block's kernel values,
+    none being -0.0.  Peak: the output plus one block's buffer and temporaries."""
+    _check_budget(8 * len(rows) * len(cols), f"{len(rows)} x {len(cols)} kernel matrix")
+    return _add_kernel(np.zeros((len(rows), len(cols))), spec, rows, cols, 1.0)
 
 
 def _mirror_lower(a: np.ndarray) -> np.ndarray:
@@ -171,6 +181,6 @@ def _mirror_lower(a: np.ndarray) -> np.ndarray:
 
 def gram(spec: KernelSpec, point_set: PointSet) -> np.ndarray:
     """Kernel matrix of a set against itself, ``K == K.T`` bitwise: its
-    :func:`cross_matrix` with the lower triangle mirrored.  Peak: K and one
-    block's temporaries."""
+    :func:`cross_matrix`, whose rows :func:`_add_kernel` adds, with the
+    lower triangle mirrored.  Peak: K, one block's buffer and temporaries."""
     return _mirror_lower(cross_matrix(spec, point_set, point_set))

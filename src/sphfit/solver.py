@@ -35,7 +35,8 @@ when N is near m, and however large N is at most 9 m^2 / 8 doubles or three
 ``BLOCK_BYTES``, whichever is more.  The kernel temporaries of one row
 block of B doubles add about B more.  A sweep then builds ``Kmm`` by
 :func:`gram`; a one-lam fit adds the same row blocks of lam*N*Kmm into the
-storage of ``Knm^T Knm`` one at a time, so it never holds ``Kmm`` (:func:`_add_kmm`).
+storage of ``Knm^T Knm`` through one buffer of at most ``BLOCK_BYTES``
+(``kernels._add_kernel``, behind :func:`gram` too), never holding ``Kmm``.
 Every Cholesky factorization is written over its system and the factor is
 inverted in place; while it runs, numpy holds its copy of one half-size
 block and that block's factor, m^2 / 2 doubles (:func:`_cholesky_in_place`),
@@ -70,8 +71,8 @@ import numpy as np
 
 # cross_matrix is no longer called here, but the binding stays: the
 # benchmark's trace (perfbench/) wraps it in every module that holds it
-from .kernels import (KernelSpec, _check_budget, _kernel_rows, _mirror_lower,  # noqa: F401
-                      cross_matrix, gram, zonal_value)
+from .kernels import (KernelSpec, _add_kernel, _check_budget, _kernel_rows,  # noqa: F401
+                      _mirror_lower, cross_matrix, gram, zonal_value)
 from .points import (PointFileError, PointSet, _block_rows, _data_lines, _number, _read_rows,
                      _row_blocks, _unit_points, _write_rows)
 
@@ -308,20 +309,6 @@ def _system(gtg: np.ndarray, kmm: np.ndarray, shift: float) -> np.ndarray:
     return a
 
 
-def _add_kmm(a: np.ndarray, kernel: KernelSpec, centers: PointSet, shift: float) -> np.ndarray:
-    """``a += shift * Kmm`` for a bitwise symmetric ``a``; returns ``a``.  Each
-    row block of :func:`gram` (:func:`_kernel_rows`) is written into one buffer,
-    scaled and added, then the lower triangle is mirrored: the result is
-    ``_system(a, gram(kernel, centers), shift)`` bit for bit, and Kmm is never whole."""
-    m = len(centers)
-    buffer = np.empty((min(m, _block_rows(m)), m))
-    for rows in _row_blocks(m, m):
-        block = _kernel_rows(kernel, centers, centers, rows, buffer[:m - rows.start])
-        block *= shift
-        a[rows] += block
-    return _mirror_lower(a)
-
-
 def _assembly_blocks(n: int, m: int) -> tuple[int, int]:
     """``(rows, width)``: the row blocks of ``Knm`` and the column panels of
     ``Knm^T Knm`` that :func:`_normal_matrices` streams for n sites and m
@@ -389,7 +376,8 @@ def fit_sketched_multi(kernel: KernelSpec, data: PointSet, label_sets,
     that does not depend on the labels.
 
     ``Knm^T Knm`` and every ``b = Knm^T y`` are streamed once
-    (:func:`_normal_matrices`), and a sweep builds ``Kmm`` once.  Each lam
+    (:func:`_normal_matrices`), and a sweep builds ``Kmm`` once; a one-lam
+    fit adds lam*N*Kmm into ``Knm^T Knm`` (``kernels._add_kernel``).  Each lam
     is solved as ``alpha = V (c / w)`` from a factorization ``(w, V)`` of
     its system ``A`` and each label set's coordinates ``c``.
     With more than one lam, the system is whitened by ``Kmm`` and
@@ -403,11 +391,10 @@ def fit_sketched_multi(kernel: KernelSpec, data: PointSet, label_sets,
     Such a lam is solved bit for bit as a one-lam sweep solves it.  Returns
     one list of models per label set, in ``lams`` order.  Each
     ``wall_time`` is the whole assembly, the whole decomposition its lam
-    used (for a one-lam fit the adding of ``Kmm`` to its system, a rejected
+    used (for a one-lam fit the adding of lam*N*Kmm to its system, a rejected
     Cholesky attempt included, and the second assembly its pseudo-inverse
-    needs) and its own solve.  The
-    whole working set (module docstring) is checked against the memory
-    budget before anything is allocated.
+    needs) and its own solve.  The whole working set (module docstring) is
+    checked against the memory budget before anything is allocated.
     """
     n = len(data)
     ys = [_check_values(values, n) for values in label_sets]
@@ -437,7 +424,7 @@ def fit_sketched_multi(kernel: KernelSpec, data: PointSet, label_sets,
         if sweep:
             return _system(gtg, kmm, shift)
         a, gtg = gtg, None
-        return _add_kmm(a, kernel, centers, shift)
+        return _mirror_lower(_add_kernel(a, kernel, centers, centers, shift))
 
     t0 = time.perf_counter()
     whitened = _whiten(gtg, kmm) if sweep else None

@@ -60,3 +60,29 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def blockwise_cross_matrix(spec, rows, cols) -> np.ndarray:
+    """The kernel-matrix oracle: each ``_kernel_rows`` block written straight
+    into its rows of the output, one ``_row_blocks`` block at a time."""
+    from sphfit.kernels import _kernel_rows
+    from sphfit.points import _row_blocks
+    out = np.empty((len(rows), len(cols)))
+    for block in _row_blocks(len(rows), len(cols)):
+        _kernel_rows(spec, rows, cols, block, out[block])
+    return out
+
+
+def add_kmm(a, kernel, centers, shift) -> np.ndarray:
+    """The one-lambda system oracle: ``a += shift * Kmm`` for a bitwise
+    symmetric ``a``, each row block of Kmm written into one buffer, scaled
+    and added, then the lower triangle mirrored."""
+    from sphfit.kernels import _kernel_rows, _mirror_lower
+    from sphfit.points import _block_rows, _row_blocks
+    m = len(centers)
+    buffer = np.empty((min(m, _block_rows(m)), m))
+    for rows in _row_blocks(m, m):
+        block = _kernel_rows(kernel, centers, centers, rows, buffer[:m - rows.start])
+        block *= shift
+        a[rows] += block
+    return _mirror_lower(a)

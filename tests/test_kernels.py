@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from sphfit.designs import available_degrees, load_design
 from sphfit.points import PointSet, _row_blocks, generate_spiral
 import sphfit.points as points_mod
 
-from conftest import random_unit_points, traced_peak, wendland_psi
+from conftest import blockwise_cross_matrix, random_unit_points, traced_peak, wendland_psi
 
 
 class TestWendlandPsi:
@@ -203,6 +204,95 @@ class TestZonalValues:
         assert got[2] == 1.0 and got[3] == math.exp(-2.0)
 
 
+def masked_wendland(dot, out=None):
+    """The Wendland branch of ``zonal_value`` with a boolean mask of the
+    support, scanned once to gather and once to scatter: the oracle of the
+    branch that takes one flat index of the support instead."""
+    dot = np.asarray(dot, dtype=float)
+    mask = ~(dot <= 0.5)
+    u = dot[mask]
+    np.minimum(u, 1.0, out=u)
+    u *= -2.0
+    u += 2.0
+    np.sqrt(u, out=u)
+    if out is None:
+        out = np.zeros(dot.shape)
+    else:
+        out.fill(0.0)
+    out[mask] = kernels._wendland_profile(u)
+    return out if out.ndim else out[()]
+
+
+def support_dots() -> np.ndarray:
+    """Random dots and the support's edge cases, as a (6, 40) C-ordered array."""
+    rng = np.random.default_rng(11)
+    edges = [0.5, np.nextafter(0.5, 1.0), 1.0, 1.0 + 1e-14, -1.0 - 1e-14, np.nan]
+    return np.concatenate([rng.uniform(-1.1, 1.1, 234), edges]).reshape(6, 40)
+
+
+def strided(values: np.ndarray) -> np.ndarray:
+    """``values`` in every second column (``[:, ::2]``) of a wider array whose
+    rows are one entry longer, so that its ``reshape(-1)`` is a copy."""
+    wide = np.full((len(values), 2 * values.shape[1] + 1), 7.0)
+    view = wide[:, ::2][:, :-1]
+    view[...] = values
+    return view
+
+
+# a fresh array holding the given values, in each memory layout
+LAYOUTS = {"c": np.copy, "transposed": lambda v: np.ascontiguousarray(v.T).T,
+           "strided": strided}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestWendlandSupportIndex:
+    """The Wendland branch gathers and scatters through one flat index of the
+    support: the same float operations on the same entries as the boolean
+    mask, so the same bits, whatever the layout of ``dot`` and ``out``."""
+
+    @pytest.mark.parametrize("out_layout", [None, *LAYOUTS])
+    @pytest.mark.parametrize("dot_layout", LAYOUTS)
+    def test_byte_equal_to_mask_oracle(self, dot_layout, out_layout):
+        values = support_dots()
+        for layout in ("transposed", "strided"):
+            view = LAYOUTS[layout](values)
+            assert not np.shares_memory(view.reshape(-1), view)
+
+        def inputs():
+            out = None if out_layout is None else LAYOUTS[out_layout](np.full(values.shape, 7.0))
+            return LAYOUTS[dot_layout](values), out
+
+        dot, out = inputs()
+        got = zonal_value(KernelSpec.wendland(), dot, out=out)
+        expect = masked_wendland(*inputs())
+        assert got.tobytes() == expect.tobytes()
+        assert got is out if out is not None else got.flags.c_contiguous
+        assert np.array_equal(dot, values, equal_nan=True)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_out_is_dot_byte_equal_to_mask_oracle(self, layout):
+        dot, expect = LAYOUTS[layout](support_dots()), LAYOUTS[layout](support_dots())
+        assert zonal_value(KernelSpec.wendland(), dot, out=dot) is dot
+        masked_wendland(expect, out=expect)
+        assert dot.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("values", [0.7, 0.2, 0.5, np.nan, [0.9, np.nan, 0.1],
+                                        np.empty((0, 5))],
+                             ids=["0d-support", "0d-outside", "0d-edge", "0d-nan", "3", "0x5"])
+    def test_shapes_byte_equal_to_mask_oracle(self, values):
+        values = np.array(values, dtype=float)
+        for mode in ("new", "given", "dot"):
+            results = []
+            for evaluate in (partial(zonal_value, KernelSpec.wendland()), masked_wendland):
+                dot = values.copy()
+                out = {"new": None, "given": np.full(dot.shape, 7.0), "dot": dot}[mode]
+                results.append(np.asarray(evaluate(dot, out=out)))
+            got, expect = results
+            assert got.shape == values.shape and got.tobytes() == expect.tobytes()
+        assert type(zonal_value(KernelSpec.wendland(), values)) is (
+            np.float64 if values.ndim == 0 else np.ndarray)
+
+
 class TestMatrices:
     def test_elementwise_oracle(self, rng):
         a = random_unit_points(rng, 5)
@@ -279,6 +369,25 @@ class TestMatrices:
             expect[upper] = expect.T[upper]
             assert gram(spec, p).tobytes() == expect.tobytes()
 
+    @pytest.mark.parametrize("degree", available_degrees())
+    @pytest.mark.parametrize("spec", [KernelSpec.wendland(), KernelSpec.gaussian(0.3)],
+                             ids=["wendland", "gaussian"])
+    def test_added_blocks_are_the_written_blocks(self, degree, spec):
+        # cross_matrix adds its row blocks into zeros (kernels._add_kernel);
+        # no kernel value is -0.0, so that is bitwise the oracle that writes
+        # each block straight into its rows: square, rectangular with a
+        # ragged last block, and gram, the square one mirrored
+        p = load_design(degree)
+        step = points_mod._block_rows(len(p))
+        sites = generate_spiral(step + step // 2 + 1)
+        assert len(sites) > step and len(sites) % step
+        for a, b in ((p, p), (sites, p)):
+            expect = blockwise_cross_matrix(spec, a, b)
+            assert cross_matrix(spec, a, b).tobytes() == expect.tobytes()
+        expect, upper = blockwise_cross_matrix(spec, p, p), np.triu_indices(len(p), 1)
+        expect[upper] = expect.T[upper]
+        assert gram(spec, p).tobytes() == expect.tobytes()
+
     def test_gram_matches_cross_matrix(self, rng):
         pts = PointSet(random_unit_points(rng, 31))
         for spec in (KernelSpec.gaussian(0.7), KernelSpec.wendland()):
@@ -303,8 +412,13 @@ class TestMatrices:
     def test_memory_budget_enforced(self, rng, monkeypatch):
         monkeypatch.setattr(kernels, "DEFAULT_MEMORY_BUDGET", 10**6)
         pts = PointSet(random_unit_points(rng, 2000))
-        with pytest.raises(MatrixSizeError):
-            cross_matrix(KernelSpec.wendland(), pts, pts)
+
+        def refuse():
+            # the budget check comes before the output and the block buffer
+            with pytest.raises(MatrixSizeError, match="2000 x 2000 kernel matrix"):
+                cross_matrix(KernelSpec.wendland(), pts, pts)
+
+        assert traced_peak(refuse) < 2**16
         with pytest.raises(MatrixSizeError):
             gram(KernelSpec.wendland(), pts)
 

@@ -23,7 +23,7 @@ from sphfit.solver import (CHOLESKY_MARGIN, WHITENED_COND_LIMIT, FittedModel,
                            fit_full, fit_sketched, fit_sketched_multi,
                            load_model, predict, rmse_sweep, save_model)
 
-from conftest import random_unit_points, traced_peak
+from conftest import add_kmm, blockwise_cross_matrix, random_unit_points, traced_peak
 
 NORTH = PointSet(np.array([[0.0, 0.0, 1.0]]))
 KERNELS = (KernelSpec.gaussian(0.5), KernelSpec.wendland())
@@ -1004,9 +1004,42 @@ class TestStreamedAssembly:
         gtg = g + g.T
         shift = 2e-4 * 1656
         expect = solver_mod._system(gtg, kmm, shift)
-        got = solver_mod._add_kmm(gtg.copy(), kernel, centers, shift)
+        got = kernels_mod._mirror_lower(
+            kernels_mod._add_kernel(gtg.copy(), kernel, centers, centers, shift))
         assert got.tobytes() == expect.tobytes()
         assert np.array_equal(got, got.T) and np.array_equal(kmm, kmm.T)
+
+    @pytest.mark.parametrize("degree", available_degrees())
+    @pytest.mark.parametrize("kernel", [KernelSpec.wendland(), KernelSpec.gaussian(0.3)],
+                             ids=["wendland", "gaussian"])
+    def test_systems_match_block_loop_oracles(self, degree, kernel, monkeypatch):
+        # the one-lam system adds lam*N*Kmm into Knm^T Knm, and fit_full's
+        # system shifts gram's diagonal: both are the bits of the loops that
+        # wrote or added each kernel row block themselves
+        centers, data = load_design(degree), load_design(9)
+        m, seen = len(centers), []
+
+        class Factored(Exception):
+            """Stops a fit once its system is seen."""
+
+        def factor(a):
+            seen.append(a.copy())
+            raise Factored
+
+        monkeypatch.setattr(solver_mod, "_inverse_factor", factor)
+        monkeypatch.setattr(solver_mod, "_cholesky_in_place", factor)
+        lam = 2e-4
+        with pytest.raises(Factored):
+            fit_sketched(kernel, data, np.ones(len(data)), centers, lam)
+        with pytest.raises(Factored):
+            fit_full(kernel, centers, np.ones(m), lam)
+        one_lambda, full = seen
+        gtg, _ = solver_mod._normal_matrices(kernel, data, centers, [])
+        assert one_lambda.tobytes() == add_kmm(gtg, kernel, centers, lam * len(data)).tobytes()
+        expect, upper = blockwise_cross_matrix(kernel, centers, centers), np.triu_indices(m, 1)
+        expect[upper] = expect.T[upper]
+        expect[np.diag_indices(m)] += lam * m
+        assert full.tobytes() == expect.tobytes()
 
     def test_one_lambda_peak_does_not_grow_with_n(self):
         # m = 328 centers on 4 m and on 32 m spiral sites: Knm (N m doubles)
